@@ -7,7 +7,7 @@
 // quantifies the gap on single layers.
 
 #include "bench_util.hpp"
-#include "kernels/launch.hpp"
+#include "exec/tile_runner.hpp"
 
 using namespace decimate;
 using namespace decimate::bench;
@@ -29,7 +29,7 @@ int main() {
 
       ClusterConfig ccfg;
       Cluster c1(ccfg), c2(ccfg);
-      KernelLauncher l1(c1), l2(c2);
+      TileRunner l1(c1), l2(c2);
       const auto decimate_run = l1.conv(KernelKind::kConvSparseSw, g,
                                         Requant{1, 8}, input, nullptr,
                                         &packed, bias);

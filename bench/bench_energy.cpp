@@ -5,8 +5,8 @@
 // dense-equivalent MAC and fewer bytes moved per layer.
 
 #include "bench_util.hpp"
+#include "exec/tile_runner.hpp"
 #include "hw/energy.hpp"
-#include "kernels/launch.hpp"
 
 using namespace decimate;
 using namespace decimate::bench;
@@ -34,19 +34,19 @@ int main() {
         Cfg{KernelKind::kConvSparseSw, 16},
         Cfg{KernelKind::kConvSparseIsa, 16}}) {
     Cluster cluster{ClusterConfig{}};
-    KernelLauncher launcher(cluster);
+    TileRunner runner(cluster);
     KernelRun run;
     if (kernel_is_sparse(cfg.kind)) {
       Tensor8 w = Tensor8::random({g.k, g.fsz()}, rng);
       nm_prune(w.flat(), g.k, g.fsz(), 1, cfg.m);
       const NmPacked packed = nm_pack(w.flat(), g.k, g.fsz(), cfg.m,
-                                      KernelLauncher::layout_for(cfg.kind));
-      run = launcher.conv(cfg.kind, g, Requant{1, 8}, input, nullptr, &packed,
-                          bias);
+                                      TileRunner::layout_for(cfg.kind));
+      run = runner.conv(cfg.kind, g, Requant{1, 8}, input, nullptr, &packed,
+                        bias);
     } else {
       Tensor8 w = Tensor8::random({g.k, g.fsz()}, rng);
-      run = launcher.conv(cfg.kind, g, Requant{1, 8}, input, &w, nullptr,
-                          bias);
+      run = runner.conv(cfg.kind, g, Requant{1, 8}, input, &w, nullptr,
+                        bias);
     }
     const EnergyBreakdown e = em.kernel_energy(run.result);
     const double nj_per_mmac =

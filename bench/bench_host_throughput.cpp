@@ -3,10 +3,10 @@
 // of the host execution path — reference scalar ops vs the
 // HostKernelDispatch instance library (SIMD blocked dense, N:M sparse
 // gather) — across ResNet18 and the ViT FFN block, dense and sparse M in
-// {4,8,16}, in five deployment shapes: single-image engine.run,
-// intra-image threaded engine.run, pipelined engine.run_batch,
-// MultiClusterEngine-sharded, and MultiClusterEngine data-parallel. Every
-// host output is asserted bit-identical to the reference-kernel output.
+// {4,8,16}, in four deployment shapes: single-image engine.run,
+// intra-image threaded engine.run, pipelined engine.run_batch, and
+// MultiClusterEngine-sharded. Every host output is asserted bit-identical
+// to the reference-kernel output.
 // A second table micro-benches every registry kernel instance runnable on
 // this CPU (ns/MAC on a representative geometry of its family).
 //
@@ -45,7 +45,7 @@ namespace {
 struct Row {
   std::string model;
   int m = 0;  // 0 = dense
-  std::string mode;  // ref | host | host_mt | host_batch | host_shard | host_dp
+  std::string mode;  // ref | host | host_mt | host_batch | host_shard
   double ms_per_img = 0.0;
   double img_per_s = 0.0;
   double ns_per_mac = 0.0;   // dense-equivalent MACs
@@ -74,7 +74,7 @@ struct BenchConfig {
   int clusters = 4;
 };
 
-/// One (model, m) workload through all four modes, appending rows.
+/// One (model, m) workload through every mode, appending rows.
 void bench_workload(const std::string& name, const Graph& graph,
                     const std::vector<int>& in_shape, int m,
                     const BenchConfig& cfg,
@@ -160,16 +160,6 @@ void bench_workload(const std::string& name, const Graph& graph,
     shard_out = mce.run(shard_plan, input).run.output;
   });
   add_row("host_shard", shard_s, ref_s, shard_out == ref_run.output);
-
-  // --- host_dp: MultiClusterEngine data-parallel over the batch ----------
-  DataParallelRun dp_run;
-  const double dp_s = time_best_s(
-      cfg.reps, [&] { dp_run = mce.run_data_parallel(plan, batch_inputs); });
-  bool dp_exact = dp_run.runs.size() == ref_batch_out.size();
-  for (size_t i = 0; dp_exact && i < dp_run.runs.size(); ++i) {
-    dp_exact = dp_run.runs[i].output == ref_batch_out[i];
-  }
-  add_row("host_dp", dp_s / cfg.batch, ref_s, dp_exact);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@
 // discusses in Sec. 5.2).
 
 #include "bench_util.hpp"
-#include "kernels/launch.hpp"
+#include "exec/tile_runner.hpp"
 
 using namespace decimate;
 using namespace decimate::bench;
@@ -32,7 +32,7 @@ int main() {
   for (const auto& e : entries) {
     const int len = expected_inner_loop_length(e.kind, e.m);
     const int macs = macs_per_inner_iter(e.kind, e.m);
-    const Program& prog = KernelLauncher::program_for(e.kind, e.m);
+    const Program& prog = TileRunner::program_for(e.kind, e.m);
     const int measured = prog.region_length(kInnerBegin, kInnerEnd);
     DECIMATE_CHECK(measured == len, "static length mismatch");
     const double peak = static_cast<double>(macs) / len;
@@ -59,7 +59,7 @@ int main() {
         Entry{KernelKind::kConvSparseSw, 8},
         Entry{KernelKind::kConvSparseIsa, 8}}) {
     Cluster cluster(ccfg);
-    KernelLauncher launcher(cluster);
+    TileRunner runner(cluster);
     const Tensor8 input = Tensor8::random({g.iy, g.ix, g.c}, rng);
     Tensor32 bias({g.k}, 0);
     KernelRun run;
@@ -67,12 +67,12 @@ int main() {
       Tensor8 w = Tensor8::random({g.k, g.fsz()}, rng);
       nm_prune(w.flat(), g.k, g.fsz(), 1, e.m);
       const NmPacked packed = nm_pack(w.flat(), g.k, g.fsz(), e.m,
-                                      KernelLauncher::layout_for(e.kind));
-      run = launcher.conv(e.kind, g, Requant{1, 8}, input, nullptr, &packed,
-                          bias);
+                                      TileRunner::layout_for(e.kind));
+      run = runner.conv(e.kind, g, Requant{1, 8}, input, nullptr, &packed,
+                        bias);
     } else {
       Tensor8 w = Tensor8::random({g.k, g.fsz()}, rng);
-      run = launcher.conv(e.kind, g, Requant{1, 8}, input, &w, nullptr, bias);
+      run = runner.conv(e.kind, g, Requant{1, 8}, input, &w, nullptr, bias);
     }
     const double logical =
         static_cast<double>(g.macs()) / std::max(e.m, 1);

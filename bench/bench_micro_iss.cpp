@@ -6,8 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
+#include "exec/tile_runner.hpp"
 #include "isa/builder.hpp"
-#include "kernels/launch.hpp"
 #include "nn/prune.hpp"
 #include "sim/cluster.hpp"
 
@@ -53,16 +53,16 @@ void BM_ConvKernel(benchmark::State& state) {
   NmPacked packed;
   if (m) {
     packed = nm_pack(w.flat(), g.k, g.fsz(), m,
-                     KernelLauncher::layout_for(kind));
+                     TileRunner::layout_for(kind));
   }
   Cluster cluster{ClusterConfig{}};
-  KernelLauncher launcher(cluster);
+  TileRunner runner(cluster);
   uint64_t cycles = 0, instructions = 0;
   for (auto _ : state) {
     const KernelRun run =
-        m ? launcher.conv(kind, g, Requant{1, 8}, input, nullptr, &packed,
-                          bias)
-          : launcher.conv(kind, g, Requant{1, 8}, input, &w, nullptr, bias);
+        m ? runner.conv(kind, g, Requant{1, 8}, input, nullptr, &packed,
+                        bias)
+          : runner.conv(kind, g, Requant{1, 8}, input, &w, nullptr, bias);
     cycles = run.result.wall_cycles;
     instructions += run.result.total_instructions;
   }
@@ -88,15 +88,15 @@ void BM_FcKernel(benchmark::State& state) {
   if (m) nm_prune(w.flat(), g.k, g.c, 1, m);
   NmPacked packed;
   if (m) {
-    packed = nm_pack(w.flat(), g.k, g.c, m, KernelLauncher::layout_for(kind));
+    packed = nm_pack(w.flat(), g.k, g.c, m, TileRunner::layout_for(kind));
   }
   Cluster cluster{ClusterConfig{}};
-  KernelLauncher launcher(cluster);
+  TileRunner runner(cluster);
   uint64_t cycles = 0;
   for (auto _ : state) {
     const KernelRun run =
-        m ? launcher.fc(kind, g, Requant{1, 8}, input, nullptr, &packed, bias)
-          : launcher.fc(kind, g, Requant{1, 8}, input, &w, nullptr, bias);
+        m ? runner.fc(kind, g, Requant{1, 8}, input, nullptr, &packed, bias)
+          : runner.fc(kind, g, Requant{1, 8}, input, &w, nullptr, bias);
     cycles = run.result.wall_cycles;
   }
   state.counters["sim_cycles"] = static_cast<double>(cycles);
@@ -117,11 +117,11 @@ void BM_LockstepOverhead(benchmark::State& state) {
   ClusterConfig cfg;
   cfg.lockstep = lockstep;
   Cluster cluster(cfg);
-  KernelLauncher launcher(cluster);
+  TileRunner runner(cluster);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        launcher.conv(KernelKind::kConvDense1x2, g, Requant{1, 8}, input, &w,
-                      nullptr, bias));
+        runner.conv(KernelKind::kConvDense1x2, g, Requant{1, 8}, input, &w,
+                    nullptr, bias));
   }
 }
 BENCHMARK(BM_LockstepOverhead)->Arg(0)->Arg(1);

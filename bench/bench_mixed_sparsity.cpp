@@ -33,9 +33,8 @@ int main() {
   for (const auto& cfg : cfgs) {
     Resnet18Options ropt;
     ropt.per_stage_m = cfg.stages;
-    CompileOptions copt = sparse_options(true);
-    ScheduleExecutor exec(copt);
-    const NetworkRun run = exec.run(build_resnet18(ropt), input);
+    const NetworkRun run = ExecutionEngine().run(
+        Compiler(sparse_options(true)).compile(build_resnet18(ropt)), input);
     if (base == 0) base = run.total_cycles;
     t.add_row({cfg.name, mcyc(run.total_cycles),
                Table::num(run.macs_per_cycle(), 2),

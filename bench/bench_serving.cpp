@@ -2,12 +2,13 @@
 // (seeded via common/rng.hpp) is served through the full runtime —
 // Server queue -> SLO Batcher -> PlanStore -> Dispatcher — while the SLO
 // deadline sweeps from tight to loose. Per point we report the deadline
-// hit rate, modeled throughput, latency percentiles, and which execution
-// mode the dispatcher chose (batch-fused / sharded single-image /
-// data-parallel). On ResNet18 the bench asserts the headline behavior:
-// at the loosest SLO the dispatcher serves batch-fused plans at a higher
-// throughput than the batch=1 serial baseline, at the tightest it shards
-// single images below the single-cluster latency, every served output is
+// hit rate, modeled throughput, latency percentiles, and which modeled
+// placement the dispatcher chose (batch-fused / sharded single-image /
+// data-parallel; the host runs every batch as fused chunks). On ResNet18
+// the bench asserts the headline behavior: at the loosest SLO the
+// dispatcher serves batch-fused plans at a higher throughput than the
+// batch=1 serial baseline, at the tightest it models sharded single
+// images below the single-cluster latency, every served output is
 // bit-exact with a sequential ExecutionEngine::run, and nothing compiles
 // after PlanStore warm-up. Results land in BENCH_serve.json.
 //
@@ -21,8 +22,8 @@
 // a second run against the same DIR warms up with zero compiles and
 // zero ISS invocations.
 //
-// --wallclock appends a wall-clock overload sweep (ServerMode::
-// kWallClock, real threads, steady-clock deadlines): seeded Poisson
+// --wallclock appends a wall-clock overload sweep (WallClockServer, real
+// threads, steady-clock deadlines): seeded Poisson
 // arrivals are paced in wall time at a multiple of the server's modeled
 // sustained img/s, and each point reports offered load vs goodput, wall
 // latency percentiles, shed/reject rates, and the deadline-miss rate
@@ -547,7 +548,7 @@ int main(int argc, char** argv) {
   // buys pipelined cycles and the loose-SLO story holds. At 32x32 the
   // same sparse network is compute-bound — fusion's weight-DMA savings
   // hide behind compute and the dispatcher (correctly) keeps preferring
-  // sharded/data-parallel execution at every SLO; the full bench serves
+  // sharded/data-parallel placements at every SLO; the full bench serves
   // that geometry too, assertion-free, to document the crossover.
   Resnet18Options mopt;
   mopt.sparsity_m = 8;

@@ -24,8 +24,8 @@ int main() {
   auto run_model = [&](int m, const CompileOptions& opt) {
     Resnet18Options ropt;
     ropt.sparsity_m = m;
-    ScheduleExecutor exec(opt);
-    return exec.run(build_resnet18(ropt), input);
+    return ExecutionEngine().run(Compiler(opt).compile(build_resnet18(ropt)),
+                                 input);
   };
 
   rows.push_back({"Dense 1x2", "75.28*", run_model(0, dense_1x2_options())});

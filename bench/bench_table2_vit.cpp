@@ -22,8 +22,7 @@ int main() {
   auto run_model = [&](int m, const CompileOptions& opt) {
     VitOptions vopt;
     vopt.sparsity_m = m;
-    ScheduleExecutor exec(opt);
-    return exec.run(build_vit(vopt), input);
+    return ExecutionEngine().run(Compiler(opt).compile(build_vit(vopt)), input);
   };
 
   rows.push_back({"Dense", "95.59*", run_model(0, pulpnn_options())});

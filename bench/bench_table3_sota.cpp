@@ -17,8 +17,8 @@ int main() {
   auto run_model = [&](int m, const CompileOptions& opt) {
     Resnet18Options ropt;
     ropt.sparsity_m = m;
-    ScheduleExecutor exec(opt);
-    return exec.run(build_resnet18(ropt), input);
+    return ExecutionEngine().run(Compiler(opt).compile(build_resnet18(ropt)),
+                                 input);
   };
 
   // measured: speedups of our ResNet18 vs the dense 1x2 baseline (the

@@ -8,7 +8,8 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "compiler/schedule.hpp"
+#include "exec/compile.hpp"
+#include "exec/engine.hpp"
 #include "models/models.hpp"
 #include "nn/prune.hpp"
 
@@ -58,8 +59,7 @@ inline NetworkRun deploy(const Graph& g, const std::vector<int>& in_shape,
                          const CompileOptions& opt, uint64_t seed = 9) {
   Rng rng(seed);
   const Tensor8 input = Tensor8::random(in_shape, rng);
-  ScheduleExecutor exec(opt);
-  return exec.run(g, input);
+  return ExecutionEngine().run(Compiler(opt).compile(g), input);
 }
 
 inline CompileOptions dense_1x2_options() {

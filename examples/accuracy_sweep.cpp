@@ -8,7 +8,8 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "compiler/schedule.hpp"
+#include "exec/compile.hpp"
+#include "exec/engine.hpp"
 #include "train/trainer.hpp"
 
 using namespace decimate;

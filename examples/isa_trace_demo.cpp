@@ -7,10 +7,10 @@
 #include <iomanip>
 #include <iostream>
 
+#include "exec/tile_runner.hpp"
 #include "isa/builder.hpp"
 #include "isa/disasm.hpp"
 #include "isa/encoding.hpp"
-#include "kernels/launch.hpp"
 #include "sim/core.hpp"
 
 using namespace decimate;
@@ -22,7 +22,7 @@ int main() {
         std::tuple{KernelKind::kConvSparseSw, 8, "sparse SW 1:8 (22 instr)"},
         std::tuple{KernelKind::kConvSparseIsa, 8,
                    "sparse ISA 1:8 with xDecimate (12 instr)"}}) {
-    const Program& prog = KernelLauncher::program_for(kind, m);
+    const Program& prog = TileRunner::program_for(kind, m);
     const int begin = prog.marker(kInnerBegin);
     const int end = prog.marker(kInnerEnd);
     std::cout << "=== inner loop of " << label << " ===\n";

@@ -8,7 +8,7 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "kernels/launch.hpp"
+#include "exec/tile_runner.hpp"
 #include "nn/prune.hpp"
 #include "nn/ref_ops.hpp"
 
@@ -42,23 +42,23 @@ int main() {
   const Tensor8 expected = conv2d_s8(input, weights, bias, geom, rq);
   Table t({"kernel", "cycles", "MAC/cyc (dense-equiv)", "matches reference"});
   Cluster cluster;  // 8 cores, sequential mode
-  KernelLauncher launcher(cluster);
+  TileRunner runner(cluster);
 
   Tensor8 dense_weights = weights;  // zeros included
-  const KernelRun dense = launcher.conv(KernelKind::kConvDense1x2, geom, rq,
-                                        input, &dense_weights, nullptr, bias);
+  const KernelRun dense = runner.conv(KernelKind::kConvDense1x2, geom, rq,
+                                      input, &dense_weights, nullptr, bias);
   t.add_row({"dense 1x2", std::to_string(dense.result.wall_cycles),
              Table::num(dense.macs_per_cycle(), 2),
              dense.output == expected ? "yes" : "NO"});
 
-  const KernelRun sw = launcher.conv(KernelKind::kConvSparseSw, geom, rq,
-                                     input, nullptr, &sw_pack, bias);
+  const KernelRun sw = runner.conv(KernelKind::kConvSparseSw, geom, rq,
+                                   input, nullptr, &sw_pack, bias);
   t.add_row({"sparse SW 1:8", std::to_string(sw.result.wall_cycles),
              Table::num(sw.macs_per_cycle(), 2),
              sw.output == expected ? "yes" : "NO"});
 
-  const KernelRun isa = launcher.conv(KernelKind::kConvSparseIsa, geom, rq,
-                                      input, nullptr, &isa_pack, bias);
+  const KernelRun isa = runner.conv(KernelKind::kConvSparseIsa, geom, rq,
+                                    input, nullptr, &isa_pack, bias);
   t.add_row({"sparse ISA 1:8 (xDecimate)",
              std::to_string(isa.result.wall_cycles),
              Table::num(isa.macs_per_cycle(), 2),

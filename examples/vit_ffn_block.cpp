@@ -11,7 +11,7 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "compiler/schedule.hpp"
+#include "exec/compile.hpp"
 #include "exec/engine.hpp"
 #include "nn/prune.hpp"
 
@@ -69,19 +69,17 @@ int main() {
   const Tensor8 input = Tensor8::random({tokens, d}, rng);
 
   Table t({"config", "Mcyc", "MAC/cyc", "speedup vs dense"});
-  CompileOptions dense_opt;
-  ScheduleExecutor dense_exec(dense_opt);
-  const NetworkRun dense = dense_exec.run(ffn_block(tokens, d, hidden, 0, 1),
-                                          input);
+  ExecutionEngine engine;
+  const NetworkRun dense = engine.run(
+      Compiler().compile(ffn_block(tokens, d, hidden, 0, 1)), input);
   t.add_row({"dense", Table::num(dense.total_cycles / 1e6, 2),
              Table::num(dense.macs_per_cycle(), 2), "1.00x"});
   for (int m : {4, 8, 16}) {
     for (bool isa : {false, true}) {
       CompileOptions opt;
       opt.enable_isa = isa;
-      ScheduleExecutor exec(opt);
-      const NetworkRun run = exec.run(ffn_block(tokens, d, hidden, m, 1),
-                                      input);
+      const NetworkRun run = engine.run(
+          Compiler(opt).compile(ffn_block(tokens, d, hidden, m, 1)), input);
       t.add_row({std::string(isa ? "ISA" : "SW") + " 1:" + std::to_string(m),
                  Table::num(run.total_cycles / 1e6, 2),
                  Table::num(run.macs_per_cycle(), 2),

@@ -2,8 +2,8 @@
 // Single-tile ISS execution: places operands in L1, fills the args block,
 // runs the cluster and reads the result back. This is the one place where
 // conv/fc args-block setup, L1 placement and requant plumbing live — the
-// execution engine uses it for latency measurement and verification, and
-// the legacy KernelLauncher facade (kernels/launch.hpp) forwards here.
+// compiler uses it for latency measurement, the execution engine for
+// verification, and tests, benches and examples to run a single kernel.
 //
 // Tiles assume "data already in L1", as the paper's kernels do; multi-tile
 // layers with DMA double-buffering are planned by exec/compile and costed

@@ -57,7 +57,7 @@ struct VecRun {
   RunResult result;
 };
 
-/// Host-side launchers (single L1-resident execution, like KernelLauncher).
+/// Host-side launchers (single L1-resident execution, like TileRunner).
 VecRun run_relu(Cluster& cluster, const Tensor8& x);
 VecRun run_add(Cluster& cluster, const Tensor8& a, const Requant& ra,
                const Tensor8& b, const Requant& rb);

@@ -232,10 +232,12 @@ void Dispatcher::exec_fused(FormedBatch& batch, const SloConfig& slo,
   const int n = static_cast<int>(batch.requests.size());
   size_t next = 0;
   // Execution-side cursor. On the happy path it reproduces the modeled
-  // completions already stamped from evaluate(); once a fused-batch
-  // mismatch forces the per-image fallback, everything from that point
-  // on is restamped from the cursor so ServedStats reports what actually
-  // executed.
+  // kBatchFused completions already stamped from evaluate(); once a
+  // fused-batch mismatch forces the per-image fallback, everything from
+  // that point on is restamped from the cursor so ServedStats reports
+  // what actually executed. Other placements were never modeled as these
+  // chunks, so their stats stay as modeled.
+  const bool modeled_fused = out.mode == ServeMode::kBatchFused;
   uint64_t at = batch.dispatch_cycles;
   bool restamp = false;
   const CompiledPlan& single = store_.plan(batch.model, 1, 1);
@@ -251,7 +253,7 @@ void Dispatcher::exec_fused(FormedBatch& batch, const SloConfig& slo,
     std::vector<Tensor8> outputs =
         run_chunk_with_fallback(engine_, store_.plan(batch.model, b, 1),
                                 single, inputs, group, offsets);
-    restamp = restamp || group != b;
+    restamp = modeled_fused && (restamp || group != b);
     for (size_t j = 0; j < outputs.size(); ++j) {
       out.served[next].output = std::move(outputs[j]);
       if (restamp) {
@@ -268,29 +270,7 @@ void Dispatcher::exec_fused(FormedBatch& batch, const SloConfig& slo,
                  "fused chunks did not cover the batch");
 }
 
-void Dispatcher::exec_sharded(const FormedBatch& batch, DispatchResult& out) {
-  const CompiledPlan& plan =
-      store_.plan(batch.model, 1, cfg_.num_clusters);
-  for (size_t i = 0; i < batch.requests.size(); ++i) {
-    ShardedRun run = mce_.run(plan, batch.requests[i].input);
-    out.served[i].output = std::move(run.run.output);
-  }
-}
-
-void Dispatcher::exec_data_parallel(FormedBatch& batch,
-                                    DispatchResult& out) {
-  const CompiledPlan& plan = store_.plan(batch.model, 1, 1);
-  std::vector<Tensor8> inputs;
-  inputs.reserve(batch.requests.size());
-  for (Request& r : batch.requests) inputs.push_back(std::move(r.input));
-  DataParallelRun run = mce_.run_data_parallel(plan, inputs);
-  for (size_t i = 0; i < batch.requests.size(); ++i) {
-    out.served[i].output = std::move(run.runs[i].output);
-  }
-}
-
-DispatchResult Dispatcher::dispatch(FormedBatch batch, const SloConfig& slo,
-                                    std::optional<ServeMode> force_mode) {
+DispatchResult Dispatcher::dispatch(FormedBatch batch, const SloConfig& slo) {
   const int n = static_cast<int>(batch.requests.size());
   DECIMATE_CHECK(n >= 1, "cannot dispatch an empty batch");
   trace::TraceScope dispatch_span(trace::Cat::kDispatch,
@@ -307,13 +287,7 @@ DispatchResult Dispatcher::dispatch(FormedBatch batch, const SloConfig& slo,
     trace::TraceScope eval_span(trace::Cat::kDispatch, "dispatcher.evaluate");
     std::vector<ModeEval> evals =
         evaluate(batch.model, n, arrivals, batch.dispatch_cycles, slo);
-    // evaluate() emits evals in ServeMode declaration order, so a forced
-    // mode indexes directly
-    const size_t idx = force_mode.has_value()
-                           ? static_cast<size_t>(*force_mode)
-                           : choose(evals);
-    DECIMATE_CHECK(idx < evals.size(), "forced mode out of range");
-    return std::move(evals[idx]);
+    return std::move(evals[choose(evals)]);
   }();
   dispatch_span.sarg("mode", to_string(pick.mode));
 
@@ -334,14 +308,11 @@ DispatchResult Dispatcher::dispatch(FormedBatch batch, const SloConfig& slo,
   }
 
   {
+    // the host runs fused chunks whatever placement was modeled
     trace::TraceScope exec_span(trace::Cat::kDispatch, "dispatcher.execute");
     exec_span.sarg("mode", to_string(pick.mode));
     fault::on_site(fault::Site::kDispatchExec);
-    switch (pick.mode) {
-      case ServeMode::kBatchFused: exec_fused(batch, slo, out); break;
-      case ServeMode::kShardedSingle: exec_sharded(batch, out); break;
-      case ServeMode::kDataParallel: exec_data_parallel(batch, out); break;
-    }
+    exec_fused(batch, slo, out);
   }
   // after execution: the fused path may have restamped completions on a
   // mismatch recovery, so the finish time comes from the final stats

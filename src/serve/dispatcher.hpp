@@ -1,9 +1,10 @@
 #pragma once
-// Dispatcher: picks, per formed batch, how the clusters should execute it
-// — and then executes it bit-exactly.
+// Dispatcher: picks, per formed batch, how the modeled clusters should
+// execute it — and then executes it bit-exactly on the host.
 //
-// Three modes compete (all numerics identical to sequential
-// ExecutionEngine::run by construction; only cycles differ):
+// Three cluster placements compete on the modeled MCU (all numerics
+// identical to sequential ExecutionEngine::run by construction; only
+// cycles differ):
 //
 //  - kBatchFused:    the batch is chunked to the largest pre-compiled
 //                    fused batch sizes and run_batch executes each chunk
@@ -28,14 +29,19 @@
 // plans, a tight SLO sharded single-image execution, and a mid-range SLO
 // over a deep batch data-parallel placement.
 //
+// The chosen ServeMode is the modeled placement only: ServedStats' mode,
+// group_size and completion cycles report what evaluate() modeled for it.
+// Since every placement is bit-exact, the host always executes the batch
+// one way — as the fused chunks of the kBatchFused decomposition on a
+// single ExecutionEngine — whatever mode was picked.
+//
 // Every plan comes from the PlanStore; after Dispatcher::warm no dispatch
 // compiles anything. If run_batch ever reports a fused-batch mismatch
 // (BatchMismatchError — the structured error proves the condition is
 // recoverable, unlike a bare Error), the dispatcher re-runs the chunk
-// image by image on the unfused plan and restamps the affected stats
-// instead of failing the batch.
+// image by image on the unfused plan instead of failing the batch, and
+// restamps the affected stats when the modeled placement is kBatchFused.
 
-#include <optional>
 #include <vector>
 
 #include "serve/batcher.hpp"
@@ -46,7 +52,7 @@
 namespace decimate {
 
 struct DispatchConfig {
-  /// Clusters available to the sharded and data-parallel modes.
+  /// Modeled clusters available to the sharded and data-parallel modes.
   int num_clusters = 1;
   /// Fused batch sizes the store pre-compiles; chunking greedily takes
   /// the largest size <= the remaining batch (1 is always available), so
@@ -67,7 +73,7 @@ struct ModeEval {
 };
 
 /// A dispatched batch: per-request results (request order) plus when the
-/// clusters become free again.
+/// modeled clusters become free again.
 struct DispatchResult {
   std::vector<Served> served;
   ServeMode mode = ServeMode::kBatchFused;
@@ -89,15 +95,12 @@ class Dispatcher {
   /// The winning mode index under the selection rule above.
   static size_t choose(const std::vector<ModeEval>& evals);
 
-  /// Execute a formed batch under the selection rule; results are in
-  /// request order and bit-exact with sequential ExecutionEngine::run.
-  /// Takes the batch by value: the inputs are consumed (moved into the
-  /// execution paths), never deep-copied on the serving path.
-  /// `force_mode` overrides the selection rule (the wall-clock server's
-  /// brown-out ladder pins kShardedSingle under sustained overload); the
-  /// stats still report the forced mode's modeled completions.
-  DispatchResult dispatch(FormedBatch batch, const SloConfig& slo,
-                          std::optional<ServeMode> force_mode = std::nullopt);
+  /// Model a formed batch under the selection rule and execute it as
+  /// fused chunks; results are in request order and bit-exact with
+  /// sequential ExecutionEngine::run. Takes the batch by value: the
+  /// inputs are consumed (moved into the chunks), never deep-copied on
+  /// the serving path.
+  DispatchResult dispatch(FormedBatch batch, const SloConfig& slo);
 
   /// Run one fused chunk, recovering from a fused-batch mismatch: if
   /// `chunk_plan` turns out to be fused for a different batch than
@@ -115,24 +118,26 @@ class Dispatcher {
 
   /// Pre-compile every plan this dispatcher can request for `model`
   /// (all fused batch sizes at one cluster, the shard-aware single-image
-  /// plan, and its shard schedule), so serving never compiles.
+  /// plan that models kShardedSingle, and its shard schedule), so serving
+  /// never compiles.
   void warm(int model);
+
+  /// Greedy fused chunking of n requests: largest configured size <= rest.
+  /// The one decomposition both the kBatchFused model and host execution
+  /// follow.
+  std::vector<int> fused_chunks(int n) const;
 
   const DispatchConfig& config() const { return cfg_; }
   PlanStore& store() { return store_; }
 
  private:
-  /// Greedy fused chunking of n requests: largest configured size <= rest.
-  std::vector<int> fused_chunks(int n) const;
   void exec_fused(FormedBatch& batch, const SloConfig& slo,
                   DispatchResult& out);
-  void exec_sharded(const FormedBatch& batch, DispatchResult& out);
-  void exec_data_parallel(FormedBatch& batch, DispatchResult& out);
 
   PlanStore& store_;
   DispatchConfig cfg_;
   ExecutionEngine engine_;
-  MultiClusterEngine mce_;
+  MultiClusterEngine mce_;  // shard schedules for the kShardedSingle model
 };
 
 }  // namespace decimate

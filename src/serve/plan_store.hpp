@@ -5,8 +5,8 @@
 // The store owns the serving-side compile-once guarantee: each registered
 // model's parameters are fingerprinted once (add_model), every (batch,
 // num_clusters) variant is keyed by plan_fingerprint_from(graph_fp,
-// options) — the same sound identity the ScheduleExecutor and shard-plan
-// caches use — and all compiles share one TileLatencyCache, so a tile
+// options) — the same sound identity the shard-plan cache uses — and all
+// compiles share one TileLatencyCache, so a tile
 // geometry common to several variants is ISS-measured exactly once.
 // After warm() has covered the configs a Dispatcher can request,
 // compiles() must stay constant however much traffic is served (the

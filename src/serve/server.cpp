@@ -5,14 +5,6 @@
 
 namespace decimate {
 
-const char* to_string(ServerMode mode) {
-  switch (mode) {
-    case ServerMode::kVirtualCycle: return "virtual_cycle";
-    case ServerMode::kWallClock: return "wall_clock";
-  }
-  return "?";
-}
-
 const char* to_string(ServeMode mode) {
   switch (mode) {
     case ServeMode::kBatchFused: return "batch_fused";

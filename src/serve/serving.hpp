@@ -1,12 +1,17 @@
 #pragma once
 // Shared types of the serving runtime (see server.hpp for the overview).
 //
-// All serving time is modeled ISS cycles, not wall clock: requests carry
-// an arrival cycle, the Batcher's wait/flush decisions and the
-// Dispatcher's mode choice are computed from the plans' precomputed cycle
-// reports, and ServedStats reports queue wait / completion on the same
-// virtual timeline. That keeps every serving decision — and therefore
-// every served output — bit-reproducible for a given arrival trace.
+// Server's time is modeled ISS cycles, not wall clock: requests carry an
+// arrival cycle, the Batcher's wait/flush decisions and the Dispatcher's
+// mode choice are computed from the plans' precomputed cycle reports, and
+// ServedStats reports queue wait / completion on the same virtual
+// timeline. That keeps every serving decision — and therefore every
+// served output — bit-reproducible for a given arrival trace.
+// WallClockServer (wallclock.hpp) reuses these types on real time.
+//
+// ServedStats describes the modeled placement: its mode, group size and
+// completion cycles are what the Dispatcher modeled for the chosen
+// ServeMode, while the host runs every batch as fused chunks.
 
 #include <cstdint>
 #include <string>
@@ -15,18 +20,9 @@
 
 namespace decimate {
 
-/// Which timeline a server runs on. kVirtualCycle is the deterministic
-/// modeled-cycle event loop (Server); kWallClock is the real-time mode
-/// (WallClockServer): steady-clock deadlines, real thread concurrency,
-/// admission control / load-shedding / fault recovery.
-enum class ServerMode : uint8_t {
-  kVirtualCycle,
-  kWallClock,
-};
-
-const char* to_string(ServerMode mode);
-
-/// How the Dispatcher executed a formed batch.
+/// The modeled cluster placement the Dispatcher chose for a formed
+/// batch. The host executes every batch the same way (fused chunks), so
+/// the mode describes the modeled MCU only.
 enum class ServeMode : uint8_t {
   kBatchFused,     // run_batch on one cluster, batch-fused plan chunks
   kShardedSingle,  // each image sharded across all clusters in turn
@@ -62,8 +58,9 @@ struct ServedStats {
   uint64_t id = 0;
   int model = 0;
   ServeMode mode = ServeMode::kBatchFused;
-  int group_size = 1;  // images co-executed with this one (fused chunk
-                       // size; 1 for sharded; formed batch for data-par)
+  int group_size = 1;  // images co-placed with this one on the modeled
+                       // clusters (fused chunk size; 1 for sharded;
+                       // formed batch for data-parallel)
   uint64_t arrival_cycles = 0;
   uint64_t dispatch_cycles = 0;    // when its batch started executing
   uint64_t completion_cycles = 0;  // when its output was ready

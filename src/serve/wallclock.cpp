@@ -91,10 +91,10 @@ void WallClockServer::warm(int model) {
   trace::TraceScope span(trace::Cat::kServe, "wallclock.warm");
   for (auto& d : dispatchers_) d->warm(model);
   // cycle table per fused batch size (the store compiled these in warm)
-  std::vector<std::pair<int, uint64_t>> table;
+  std::map<int, uint64_t> table;
   for (const int b : dispatch_cfg_.fused_batches) {
-    table.emplace_back(b, ExecutionEngine::modeled_batch_cycles(
-                              store_.plan(model, b, 1), b));
+    table[b] = ExecutionEngine::modeled_batch_cycles(store_.plan(model, b, 1),
+                                                     b);
   }
   // Calibration: one timed single-image run seeds (or refreshes) the
   // ns/cycle EWMA that translates modeled cycles into wall predictions.
@@ -125,16 +125,11 @@ uint64_t WallClockServer::modeled_cycles_for(int model, int batch) const {
   const auto it = batch_cycles_.find(model);
   DECIMATE_CHECK(it != batch_cycles_.end(),
                  "model " << model << " was not warm()ed");
-  // greedy chunk decomposition, mirroring Dispatcher::fused_chunks
+  // the chunks the host executes (fused_chunks only reads the config, so
+  // any thread may ask any dispatcher)
   uint64_t cycles = 0;
-  int n = batch;
-  while (n > 0) {
-    const std::pair<int, uint64_t>* best = &it->second.front();
-    for (const auto& entry : it->second) {
-      if (entry.first <= n) best = &entry;
-    }
-    cycles += best->second;
-    n -= best->first;
+  for (const int b : dispatchers_.front()->fused_chunks(batch)) {
+    cycles += it->second.at(b);
   }
   return cycles;
 }
@@ -157,7 +152,7 @@ double WallClockServer::sustained_img_per_s(int model) const {
   const auto it = batch_cycles_.find(model);
   DECIMATE_CHECK(it != batch_cycles_.end(),
                  "model " << model << " was not warm()ed");
-  const int b = it->second.back().first;  // largest fused size
+  const int b = it->second.rbegin()->first;  // largest fused size
   const uint64_t ns = predicted_exec_ns_locked(model, b);
   return ns == 0 ? 0.0 : static_cast<double>(b) * 1e9 /
                              static_cast<double>(ns);
@@ -343,13 +338,12 @@ void WallClockServer::run_batch_with_recovery(
 
   uint64_t pred = 0;
   SloConfig slo;
-  std::optional<ServeMode> force_mode;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     pred = predicted_exec_ns_locked(model, n);
     // translate the tightest remaining wall budget into a modeled cycle
-    // budget: the dispatcher then shards tight batches and fuses loose
-    // ones exactly as it does on the virtual timeline
+    // budget: the dispatcher then models tight batches sharded and loose
+    // ones fused exactly as it does on the virtual timeline
     uint64_t min_deadline = UINT64_MAX;
     for (const QueuedRequest& qr : batch) {
       min_deadline = std::min(min_deadline, qr.deadline_abs_ns);
@@ -362,10 +356,6 @@ void WallClockServer::run_batch_with_recovery(
                                     ns_per_cycle_)
             : UINT64_MAX;
     slo.max_batch = n;
-    if (cfg_.brownout && brownout_level_ >= 2 &&
-        dispatch_cfg_.num_clusters > 1) {
-      force_mode = ServeMode::kShardedSingle;  // latency over throughput
-    }
     inflight_pred_ns_ += pred;
   }
   const uint64_t first_dispatch_ns = now_ns();
@@ -380,7 +370,6 @@ void WallClockServer::run_batch_with_recovery(
     auto job = std::make_shared<Job>();
     job->model = model;
     job->slo = slo;
-    job->force_mode = force_mode;
     job->ids.reserve(batch.size());
     job->inputs.reserve(batch.size());
     for (const QueuedRequest& qr : batch) {
@@ -419,7 +408,7 @@ void WallClockServer::run_batch_with_recovery(
         const std::lock_guard<std::mutex> lock(mu_);
         inflight_pred_ns_ -= pred;
       }
-      record_success(batch, *job, attempt, first_dispatch_ns);
+      record_success(batch, *job, attempt, first_dispatch_ns, pred);
       return;
     }
 
@@ -442,7 +431,7 @@ void WallClockServer::run_batch_with_recovery(
     if (fails >= cfg_.quarantine_after && !post_quarantine) {
       // N consecutive batch failures: distrust the cached/persisted
       // plans, compile fresh, and give the batch one more round
-      quarantine_model(model, n);
+      quarantine_model(model);
       {
         const std::lock_guard<std::mutex> lock(mu_);
         consecutive_failures_[model] = 0;
@@ -463,75 +452,78 @@ void WallClockServer::run_batch_with_recovery(
   }
 }
 
-void WallClockServer::quarantine_model(int model, int batch_size) {
-  // The failed dispatch could have touched any of the model's warmed
-  // identities (fused chunk plans, the sharded plan, the single-image
-  // plan), so all of them are distrusted together. Recompiles are lazy —
-  // only configs that serve again pay.
-  (void)batch_size;
+void WallClockServer::quarantine_model(int model) {
+  // The failed dispatch could have executed any of the model's fused
+  // chunk plans (the single-image plan among them), so all of them are
+  // distrusted together. The sharded plan only models a placement and
+  // never executes. Recompiles are lazy — only configs that serve again
+  // pay.
   metrics::registry().counter("serve.wall.quarantines").inc();
   trace::instant(trace::Cat::kServe, "wallclock.quarantine", 0,
                  trace::Flow::kNone, "model", model);
   for (const int b : dispatch_cfg_.fused_batches) {
     store_.quarantine(model, b, 1);
   }
-  if (dispatch_cfg_.num_clusters > 1) {
-    store_.quarantine(model, 1, dispatch_cfg_.num_clusters);
-  }
+}
+
+void WallClockServer::record_ok(const QueuedRequest& qr, WallServed w,
+                                uint64_t exec_ns) {
+  // mu_ must be held by the caller; `w` arrives with its execution fields
+  // (mode, group, retries, stamps, prediction, output) filled in.
+  auto& reg = metrics::registry();
+  w.id = qr.req.id;
+  w.model = qr.req.model;
+  w.outcome = ServeOutcome::kOk;
+  w.arrival_ns = qr.arrival_ns;
+  w.deadline_abs_ns = qr.deadline_abs_ns;
+  w.deadline_hit = w.completion_ns <= w.deadline_abs_ns;
+  reg.counter("serve.wall.served_ok").inc();
+  reg.counter(w.deadline_hit ? "serve.wall.deadline.hits"
+                             : "serve.wall.deadline.misses")
+      .inc();
+  reg.histogram("serve.wall.latency_ns").observe(w.latency_ns());
+  reg.histogram("serve.wall.exec_ns").observe(exec_ns);
+  reg.histogram("serve.wall.modeled_exec_ns").observe(w.modeled_exec_ns);
+  done_.push_back(std::move(w));
 }
 
 void WallClockServer::record_success(const std::vector<QueuedRequest>& batch,
                                      Job& job, int retries_used,
-                                     uint64_t dispatch_ns) {
-  auto& reg = metrics::registry();
+                                     uint64_t dispatch_ns, uint64_t pred_ns) {
   const uint64_t wall_exec = job.end_ns - job.start_ns;
-  uint64_t makespan_cycles = 0;
-  for (const Served& s : job.result.served) {
-    makespan_cycles = std::max(makespan_cycles, s.stats.completion_cycles);
-  }
+  const int model = batch.front().req.model;
   const std::lock_guard<std::mutex> lock(mu_);
-  if (makespan_cycles > 0 && wall_exec > 0) {
+  // the fused chunks that just ran, in modeled cycles
+  const uint64_t cycles =
+      modeled_cycles_for(model, static_cast<int>(batch.size()));
+  if (wall_exec > 0 && cycles > 0) {
+    // prediction error of the estimate admission and the watchdog acted
+    // on, before this measurement feeds the calibration
+    const uint64_t diff = wall_exec > pred_ns ? wall_exec - pred_ns
+                                              : pred_ns - wall_exec;
+    metrics::registry()
+        .histogram("serve.wall.model_error_pct")
+        .observe(100 * diff / wall_exec);
     // calibration feedback: what a modeled cycle cost on the wall just now
-    const double measured = static_cast<double>(wall_exec) /
-                            static_cast<double>(makespan_cycles);
+    const double measured =
+        static_cast<double>(wall_exec) / static_cast<double>(cycles);
     ns_per_cycle_ = 0.7 * ns_per_cycle_ + 0.3 * measured;
-    const uint64_t modeled_ns = static_cast<uint64_t>(
-        static_cast<double>(makespan_cycles) * ns_per_cycle_);
-    if (modeled_ns > 0) {
-      reg.histogram("serve.wall.model_error_pct")
-          .observe(100 * wall_exec / modeled_ns);
-    }
   }
   DECIMATE_CHECK(job.result.served.size() == batch.size(),
                  "dispatch result does not cover the batch");
   for (size_t i = 0; i < batch.size(); ++i) {
-    const QueuedRequest& qr = batch[i];
     Served& s = job.result.served[i];
     WallServed w;
-    w.id = qr.req.id;
-    w.model = qr.req.model;
-    w.outcome = ServeOutcome::kOk;
     w.mode = s.stats.mode;
     w.group_size = s.stats.group_size;
     w.retries = retries_used;
-    w.arrival_ns = qr.arrival_ns;
     w.dispatch_ns = dispatch_ns;
     w.completion_ns = job.end_ns;
-    w.deadline_abs_ns = qr.deadline_abs_ns;
-    w.modeled_exec_ns = static_cast<uint64_t>(
-        static_cast<double>(s.stats.completion_cycles) * ns_per_cycle_);
-    w.deadline_hit = w.completion_ns <= w.deadline_abs_ns;
+    w.modeled_exec_ns = pred_ns;
     w.output = std::move(s.output);
-    reg.counter("serve.wall.served_ok").inc();
-    reg.counter(w.deadline_hit ? "serve.wall.deadline.hits"
-                               : "serve.wall.deadline.misses")
-        .inc();
-    reg.histogram("serve.wall.latency_ns").observe(w.latency_ns());
-    reg.histogram("serve.wall.exec_ns").observe(wall_exec);
-    reg.histogram("serve.wall.modeled_exec_ns").observe(w.modeled_exec_ns);
-    done_.push_back(std::move(w));
+    record_ok(batch[i], std::move(w), wall_exec);
   }
-  consecutive_failures_[batch.front().req.model] = 0;
+  consecutive_failures_[model] = 0;
 }
 
 void WallClockServer::redispatch_per_image(std::vector<QueuedRequest>& batch,
@@ -545,20 +537,21 @@ void WallClockServer::redispatch_per_image(std::vector<QueuedRequest>& batch,
   // batch failed as a unit, so each member re-runs alone on the serving
   // thread's recovery engine (plan already compiled at warm)
   const CompiledPlan& single = store_.plan(batch.front().req.model, 1, 1);
-  const uint64_t single_cycles =
-      ExecutionEngine::modeled_batch_cycles(single, 1);
   for (QueuedRequest& qr : batch) {
     std::exception_ptr last;
     bool ok = false;
     Tensor8 out;
+    uint64_t exec_ns = 0;
     for (int a = 0; a <= cfg_.max_retries && !ok; ++a) {
       try {
         if (a > 0) {
           reg.counter("serve.wall.retries").inc();
           sleep_ns(cfg_.retry_backoff_ns << (a - 1));
         }
+        const uint64_t t0 = now_ns();
         fault::on_site(fault::Site::kDispatchExec);
         out = recovery_engine_.run(single, qr.req.input).output;
+        exec_ns = now_ns() - t0;
         ok = true;
       } catch (...) {
         last = std::current_exception();
@@ -571,27 +564,14 @@ void WallClockServer::redispatch_per_image(std::vector<QueuedRequest>& batch,
       continue;
     }
     WallServed w;
-    w.id = qr.req.id;
-    w.model = qr.req.model;
-    w.outcome = ServeOutcome::kOk;
-    w.mode = ServeMode::kBatchFused;
-    w.group_size = 1;
+    w.group_size = 1;  // alone on the unfused plan
     w.retries = retries_used;
     w.redispatched = true;
-    w.arrival_ns = qr.arrival_ns;
     w.dispatch_ns = first_dispatch_ns;
     w.completion_ns = now_ns();
-    w.deadline_abs_ns = qr.deadline_abs_ns;
-    w.modeled_exec_ns = static_cast<uint64_t>(
-        static_cast<double>(single_cycles) * ns_per_cycle_);
-    w.deadline_hit = w.completion_ns <= w.deadline_abs_ns;
+    w.modeled_exec_ns = qr.predicted_exec_ns;  // admission's single-image
     w.output = std::move(out);
-    reg.counter("serve.wall.served_ok").inc();
-    reg.counter(w.deadline_hit ? "serve.wall.deadline.hits"
-                               : "serve.wall.deadline.misses")
-        .inc();
-    reg.histogram("serve.wall.latency_ns").observe(w.latency_ns());
-    done_.push_back(std::move(w));
+    record_ok(qr, std::move(w), exec_ns);
   }
 }
 
@@ -632,8 +612,7 @@ void WallClockServer::executor_loop(int idx) {
     try {
       trace::TraceScope exec_span(trace::Cat::kServe, "wallclock.exec");
       exec_span.arg("batch", static_cast<int64_t>(fb.requests.size()));
-      job->result = dispatcher.dispatch(std::move(fb), job->slo,
-                                        job->force_mode);
+      job->result = dispatcher.dispatch(std::move(fb), job->slo);
     } catch (...) {
       job->error = std::current_exception();
     }

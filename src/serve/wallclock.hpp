@@ -1,11 +1,11 @@
 #pragma once
-// WallClockServer — ServerMode::kWallClock: the serving runtime on real
-// time, real threads, and real failures.
+// WallClockServer — the serving runtime on real time, real threads, and
+// real failures.
 //
 // Where Server replays a deterministic modeled-cycle timeline, this mode
 // is a server: submit() is called from any thread at actual wall times,
 // deadlines are steady-clock nanoseconds, and batches execute on the
-// PR 6 host kernels through per-executor Dispatchers. Determinism moves
+// host kernels through per-executor Dispatchers. Determinism moves
 // down a level — each served output is still bit-exact with a sequential
 // ExecutionEngine::run, but WHICH requests complete (vs shed/reject)
 // depends on real machine speed, which is the point.
@@ -22,10 +22,11 @@
 //   be met even if started now, and hands the batch to an executor
 //   thread; the serving thread waits with a watchdog.
 //      │
-//   executor: Dispatcher::dispatch against the host kernels (mode chosen
-//   by modeled cycles under the request's remaining wall budget,
-//   translated via the calibrated ns/cycle; brown-out >= 2 forces
-//   kShardedSingle).
+//   executor: Dispatcher::dispatch runs the batch as fused chunks on the
+//   host kernels; the modeled placement it reports is chosen by modeled
+//   cycles under the request's remaining wall budget, translated via the
+//   calibrated ns/cycle. The calibration divides each batch's wall time
+//   by the modeled cycles of those same fused chunks.
 //
 // Fault-tolerance ladder, in escalation order:
 //  1. retry-with-backoff: a failed dispatch retries up to max_retries
@@ -41,9 +42,9 @@
 //     valid; next use compiles fresh, bypassing the registry) and the
 //     batch gets one post-quarantine attempt on the fresh plans.
 //  4. brown-out: queue depth beyond brownout_depth degrades service
-//     rather than latency — level 1 halves the batch, level 2 also forces
-//     the sharded low-latency mode, level 3 additionally sheds every
-//     queued request that could not finish even if started immediately.
+//     rather than latency — level 1 halves the batch, level 2 quarters
+//     it, level 3 additionally sheds every queued request that could not
+//     finish even if started immediately.
 //
 // Every terminal outcome is typed (ServeOutcome + ServeReason); nothing
 // is silently dropped, nothing blocks forever. Metrics live under
@@ -58,7 +59,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,7 +127,10 @@ struct WallServed {
   uint64_t dispatch_ns = 0;     // first dispatch attempt (0: never ran)
   uint64_t completion_ns = 0;   // outcome decided (incl. reject/shed time)
   uint64_t deadline_abs_ns = 0;
-  uint64_t modeled_exec_ns = 0; // calibrated model of the exec time
+  /// The exec-time prediction the server acted on, made before dispatch:
+  /// the batch's for a batch-served request, admission's single-image
+  /// one for a redispatched or never-executed request.
+  uint64_t modeled_exec_ns = 0;
   bool deadline_hit = false;    // only meaningful for kOk
 
   uint64_t latency_ns() const { return completion_ns - arrival_ns; }
@@ -138,8 +141,6 @@ struct WallServed {
 
 class WallClockServer {
  public:
-  static constexpr ServerMode kMode = ServerMode::kWallClock;
-
   /// Executors get their own Dispatchers over `store` (Dispatcher and
   /// MultiClusterEngine are single-caller by design; per-thread instances
   /// make the concurrency story trivial), plus one recovery engine for
@@ -188,7 +189,6 @@ class WallClockServer {
     std::vector<uint64_t> ids;
     std::vector<Tensor8> inputs;  // owned copies: survive abandonment
     SloConfig slo;
-    std::optional<ServeMode> force_mode;
     std::atomic<bool> abandoned{false};
 
     std::mutex mu;
@@ -205,7 +205,9 @@ class WallClockServer {
   void redispatch_per_image(std::vector<QueuedRequest>& batch,
                             uint64_t first_dispatch_ns, int retries_used);
   void record_success(const std::vector<QueuedRequest>& batch, Job& job,
-                      int retries_used, uint64_t dispatch_ns);
+                      int retries_used, uint64_t dispatch_ns,
+                      uint64_t pred_ns);
+  void record_ok(const QueuedRequest& qr, WallServed w, uint64_t exec_ns);
   void record_terminal(const QueuedRequest& qr, ServeOutcome outcome,
                        ServeReason reason, const std::string& detail,
                        uint64_t dispatch_ns);
@@ -213,7 +215,7 @@ class WallClockServer {
   uint64_t predicted_exec_ns_locked(int model, int batch) const;
   void update_brownout_locked(size_t depth);
   void shed_infeasible_locked(uint64_t now);
-  void quarantine_model(int model, int batch_size);
+  void quarantine_model(int model);
 
   PlanStore& store_;
   DispatchConfig dispatch_cfg_;
@@ -226,7 +228,8 @@ class WallClockServer {
   bool closed_ = false;
   EdfQueue queue_;
   std::vector<WallServed> done_;
-  std::map<int, std::vector<std::pair<int, uint64_t>>> batch_cycles_;
+  // modeled cycles per (model, fused batch size)
+  std::map<int, std::map<int, uint64_t>> batch_cycles_;
   double ns_per_cycle_ = 0.0;  // EWMA, seeded by warm()'s timed run
   uint64_t inflight_pred_ns_ = 0;
   int brownout_level_ = 0;

@@ -61,12 +61,12 @@ const ShardPlan& MultiClusterEngine::shard_plan(const CompiledPlan& plan) {
   return it->second;
 }
 
-void MultiClusterEngine::exec_sharded_gemm(const StepShard& ss,
-                                           const PlanStep& step,
-                                           const Node& node,
-                                           const Tensor8& in,
-                                           const Tensor8* b_operand,
-                                           Tensor8& out) {
+void MultiClusterEngine::exec_gemm_shards(const StepShard& ss,
+                                          const PlanStep& step,
+                                          const Node& node,
+                                          const Tensor8& in,
+                                          const Tensor8* b_operand,
+                                          Tensor8& out) {
   // operand selection mirrors ExecutionEngine::exec_gemm_node
   const Tensor8* weights = &node.weights;
   Tensor8 bmat;
@@ -180,47 +180,6 @@ std::vector<uint64_t> MultiClusterEngine::data_parallel_busy_cycles(
   return busy;
 }
 
-DataParallelRun MultiClusterEngine::run_data_parallel(
-    const CompiledPlan& plan, std::span<const Tensor8> inputs) {
-  DECIMATE_CHECK(plan.options.batch <= 1,
-                 "data-parallel execution needs an unfused plan "
-                 "(options.batch == 1), got batch "
-                     << plan.options.batch);
-  const int n = static_cast<int>(inputs.size());
-  DataParallelRun out;
-  out.runs.resize(static_cast<size_t>(n));
-  out.cluster_of.resize(static_cast<size_t>(n));
-  out.completion_cycles = data_parallel_completions(plan, n, num_clusters_);
-  out.cluster_busy_cycles = data_parallel_busy_cycles(plan, n, num_clusters_);
-
-  ExecutionEngine engine;  // run() is thread-safe with verify off
-  engine.set_use_host_kernels(use_host_kernels_);
-  // with several clusters the round-robin thunks already occupy the host,
-  // and a nested intra-image split inside a pool task would run inline
-  // anyway (WorkerPool nesting guard) — pin the engine serial to skip the
-  // attempt. A single cluster keeps the plan's host_threads so intra-image
-  // parallelism still applies when it is the only parallelism available.
-  if (num_clusters_ > 1) engine.set_intra_image_threads(1);
-  std::vector<std::function<void()>> thunks;
-  for (int c = 0; c < num_clusters_ && c < n; ++c) {
-    thunks.emplace_back([&, c] {
-      for (int i = c; i < n; i += num_clusters_) {
-        trace::TraceScope span(trace::Cat::kShard,
-                               cluster_span_name(static_cast<size_t>(c)));
-        span.arg("image", i);
-        out.runs[static_cast<size_t>(i)] =
-            engine.run(plan, inputs[static_cast<size_t>(i)]);
-        out.cluster_of[static_cast<size_t>(i)] = c;
-      }
-    });
-  }
-  if (!thunks.empty()) run_parallel(thunks);
-  for (const uint64_t c : out.completion_cycles) {
-    out.makespan_cycles = std::max(out.makespan_cycles, c);
-  }
-  return out;
-}
-
 ShardedRun MultiClusterEngine::run(const CompiledPlan& plan,
                                    const Tensor8& input) {
   trace::TraceScope run_span(trace::Cat::kShard, "mce.run");
@@ -252,12 +211,12 @@ ShardedRun MultiClusterEngine::run(const CompiledPlan& plan,
     switch (node.op) {
       case OpType::kConv2d:
       case OpType::kFc:
-        exec_sharded_gemm(ss, step, node, in0, nullptr, out);
+        exec_gemm_shards(ss, step, node, in0, nullptr, out);
         break;
       case OpType::kMatmul:
-        exec_sharded_gemm(ss, step, node, in0,
-                          values[static_cast<size_t>(node.inputs.at(1))],
-                          out);
+        exec_gemm_shards(ss, step, node, in0,
+                         values[static_cast<size_t>(node.inputs.at(1))],
+                         out);
         break;
       default: {
         // row-parallel and serial vector ops: numerics are element-wise

@@ -15,16 +15,15 @@
 // Shard plans are cached under plan_fingerprint (graph content x options,
 // so two shard-aware compiles of different num_clusters never collide).
 //
-// The engine also offers the dual deployment shape, run_data_parallel:
-// instead of splitting one image's tiles across clusters (latency), it
-// places whole images on clusters round-robin (throughput) — no stitch or
-// reduction traffic, per-cluster pipelines modeled independently. The
-// serve Dispatcher picks between the two per formed batch.
+// The engine also models the dual deployment shape, data parallelism:
+// instead of splitting one image's tiles across clusters (latency), whole
+// images go to clusters round-robin (throughput) — no stitch or reduction
+// traffic, per-cluster pipelines modeled independently. The serve
+// Dispatcher scores both placements per formed batch.
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "exec/engine.hpp"
@@ -69,20 +68,6 @@ struct ShardedRun {
   }
 };
 
-/// Result of a data-parallel execution: whole images assigned round-robin
-/// to clusters, each cluster running its images through the plan's
-/// single-cluster pipeline independently (no stitch/reduce traffic — the
-/// throughput-oriented counterpart of sharding one image across clusters).
-struct DataParallelRun {
-  std::vector<NetworkRun> runs;  // one per input, in input order
-  std::vector<int> cluster_of;   // which cluster served input i
-  /// Modeled finish of input i relative to batch start: the pipelined
-  /// prefix total of its cluster's image stream.
-  std::vector<uint64_t> completion_cycles;
-  uint64_t makespan_cycles = 0;  // max over completion_cycles
-  std::vector<uint64_t> cluster_busy_cycles;  // per-cluster stream totals
-};
-
 class MultiClusterEngine {
  public:
   explicit MultiClusterEngine(int num_clusters);
@@ -92,23 +77,16 @@ class MultiClusterEngine {
   /// ExecutionEngine::run on the same plan.
   ShardedRun run(const CompiledPlan& plan, const Tensor8& input);
 
-  /// Execute a batch of independent inputs data-parallel: input i runs
-  /// whole on cluster i % num_clusters. The plan must be unfused. Outputs
-  /// are bit-exact with per-image ExecutionEngine::run.
-  DataParallelRun run_data_parallel(const CompiledPlan& plan,
-                                    std::span<const Tensor8> inputs);
-
-  /// The data-parallel completion model without executing: modeled finish
-  /// of each of `n` round-robin-assigned images on `clusters` clusters
-  /// (image i finishes when its cluster's pipelined prefix does). Used by
-  /// the serve Dispatcher to score the mode before committing to it.
+  /// The data-parallel completion model: modeled finish of each of `n`
+  /// images assigned round-robin to `clusters` clusters (image i finishes
+  /// when its cluster's pipelined prefix does). Used by the serve
+  /// Dispatcher to score the mode.
   static std::vector<uint64_t> data_parallel_completions(
       const CompiledPlan& plan, int n, int clusters);
 
   /// Per-cluster busy cycles of the same round-robin placement (each
   /// cluster's pipelined stream over its own images) — the consumed-
-  /// cycles side of the model, shared by run_data_parallel's report and
-  /// the Dispatcher's mode cost so the two can never diverge.
+  /// cycles side of the model, the Dispatcher's mode cost.
   static std::vector<uint64_t> data_parallel_busy_cycles(
       const CompiledPlan& plan, int n, int clusters);
 
@@ -129,9 +107,9 @@ class MultiClusterEngine {
   void set_use_host_kernels(bool v) { use_host_kernels_ = v; }
 
  private:
-  void exec_sharded_gemm(const StepShard& ss, const PlanStep& step,
-                         const Node& node, const Tensor8& in,
-                         const Tensor8* b_operand, Tensor8& out);
+  void exec_gemm_shards(const StepShard& ss, const PlanStep& step,
+                        const Node& node, const Tensor8& in,
+                        const Tensor8* b_operand, Tensor8& out);
   /// Run the thunks concurrently ("one per cluster") on the persistent
   /// pool and rethrow the first failure. Inline when there is only one.
   void run_parallel(std::vector<std::function<void()>>& thunks);

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "compiler/schedule.hpp"
+#include "exec/compile.hpp"
+#include "exec/engine.hpp"
 #include "nn/prune.hpp"
 
 namespace decimate {

@@ -50,7 +50,7 @@ class Mlp {
   double accuracy(const SynthDataset& test_set) const;
 
   /// Quantize to int8 and build a 2-layer FC graph runnable by the
-  /// ScheduleExecutor (weights keep their trained N:M pattern).
+  /// Compiler + ExecutionEngine (weights keep their trained N:M pattern).
   Graph to_int8_graph(float input_scale) const;
   /// Quantize a float sample to the int8 input of to_int8_graph().
   Tensor8 quantize_input(const float* x, float input_scale) const;

@@ -1,0 +1,15 @@
+# Runs BIN and fails unless its stdout equals the GOLDEN file byte for byte.
+#
+#   cmake -DBIN=<binary> -DGOLDEN=<expected stdout> -P compare.cmake
+execute_process(COMMAND ${BIN} OUTPUT_VARIABLE actual RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "${BIN} exited with ${rc}")
+endif()
+file(READ ${GOLDEN} expected)
+if(NOT actual STREQUAL expected)
+  get_filename_component(name ${GOLDEN} NAME)
+  set(actual_file ${CMAKE_CURRENT_BINARY_DIR}/${name}.actual)
+  file(WRITE ${actual_file} "${actual}")
+  execute_process(COMMAND diff -u ${GOLDEN} ${actual_file})
+  message(FATAL_ERROR "stdout of ${BIN} differs from ${GOLDEN}")
+endif()

@@ -1,15 +1,13 @@
 // Batch-execution and cache-soundness tests: the three cache/cycle-model
 // regressions (maxpool tile-key collision, ReLU tail truncation,
 // latency-cache races), pipelined run_batch bit-exactness against
-// sequential per-image runs, batch-fused FC weight-DMA amortization, and
-// the ScheduleExecutor compile-once guarantee.
+// sequential per-image runs, and batch-fused FC weight-DMA amortization.
+// The compile-once guarantee is PlanStore's (see test_serve).
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
-#include "compiler/fingerprint.hpp"
-#include "compiler/schedule.hpp"
 #include "exec/compile.hpp"
 #include "exec/engine.hpp"
 #include "models/models.hpp"
@@ -322,50 +320,6 @@ TEST(Batch, FusedPlanBitExactWithUnfusedPlan) {
   for (size_t i = 0; i < inputs.size(); ++i) {
     EXPECT_TRUE(b1.runs[i].output == b4.runs[i].output) << "image " << i;
   }
-}
-
-// --- compile-once wrapper ---------------------------------------------------
-
-TEST(PlanCache, ScheduleExecutorCompilesRepeatedGraphOnce) {
-  const Graph g = scaled_resnet18();
-  ScheduleExecutor exec(isa_options());
-  const auto inputs = distinct_inputs({16, 16, 4}, 3, 31);
-
-  const NetworkRun first = exec.run(g, inputs[0]);
-  EXPECT_EQ(exec.compiles(), 1);
-  const uint64_t misses = exec.latencies().misses();
-
-  const NetworkRun second = exec.run(g, inputs[1]);
-  EXPECT_EQ(exec.compiles(), 1) << "identical graph must reuse the plan";
-  EXPECT_EQ(exec.latencies().misses(), misses);
-  EXPECT_EQ(first.total_cycles, second.total_cycles);
-
-  // same content in a different Graph object: still one compile
-  const Graph twin = scaled_resnet18();
-  EXPECT_EQ(graph_fingerprint(twin), graph_fingerprint(g));
-  exec.run(twin, inputs[2]);
-  EXPECT_EQ(exec.compiles(), 1);
-
-  // different content (different sparsity) is a new identity
-  Resnet18Options mopt;
-  mopt.sparsity_m = 16;
-  mopt.input_hw = 16;
-  const Graph other = build_resnet18(mopt);
-  EXPECT_NE(graph_fingerprint(other), graph_fingerprint(g));
-  exec.run(other, inputs[0]);
-  EXPECT_EQ(exec.compiles(), 2);
-}
-
-TEST(PlanCache, ScheduleExecutorRunBatchUsesCachedPlan) {
-  const Graph g = ffn_block(32, 64, 128, 8, 7);
-  ScheduleExecutor exec(isa_options());
-  const auto inputs = distinct_inputs({32, 64}, 3, 33);
-  const BatchRun batch = exec.run_batch(g, inputs);
-  EXPECT_EQ(exec.compiles(), 1);
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    EXPECT_TRUE(batch.runs[i].output == exec.run(g, inputs[i]).output);
-  }
-  EXPECT_EQ(exec.compiles(), 1);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "compiler/schedule.hpp"
+#include "exec/compile.hpp"
+#include "exec/engine.hpp"
 #include "kernels/vecops.hpp"
 #include "nn/prune.hpp"
 #include "nn/ref_ops.hpp"
@@ -222,10 +223,9 @@ TEST(Executor, TinyCnnRunsAndVerifiesOnIss) {
   Rng rng(42);
   const Graph g = tiny_cnn(0, rng);
   const Tensor8 input = Tensor8::random({8, 8, 16}, rng);
-  CompileOptions opt;
-  ScheduleExecutor exec(opt);
-  exec.set_verify_with_sim(true);  // replay single-tile layers on the ISS
-  const NetworkRun run = exec.run(g, input);
+  ExecutionEngine engine;
+  engine.set_verify_with_sim(true);  // replay single-tile layers on the ISS
+  const NetworkRun run = engine.run(Compiler().compile(g), input);
   EXPECT_EQ(run.output.shape(), (std::vector<int>{1, 10}));
   EXPECT_GT(run.total_cycles, 0u);
   EXPECT_EQ(run.layers.size(), 4u);
@@ -236,13 +236,13 @@ TEST(Executor, SparseFasterThanDenseOnTinyCnnAt16) {
   Rng rng(43);
   const Tensor8 input = Tensor8::random({8, 8, 16}, rng);
   CompileOptions opt;
-  ScheduleExecutor dense_exec(opt);
-  const NetworkRun dense = dense_exec.run(tiny_cnn(0, rng), input);
-  Rng rng2(43);
+  ExecutionEngine engine;
+  const NetworkRun dense =
+      engine.run(Compiler(opt).compile(tiny_cnn(0, rng)), input);
   opt.enable_isa = true;
-  ScheduleExecutor sparse_exec(opt);
   Rng rng3(44);
-  const NetworkRun sparse = sparse_exec.run(tiny_cnn(16, rng3), input);
+  const NetworkRun sparse =
+      engine.run(Compiler(opt).compile(tiny_cnn(16, rng3)), input);
   EXPECT_LT(sparse.layers[0].total_cycles, dense.layers[0].total_cycles);
   EXPECT_LT(sparse.layers[0].weight_bytes, dense.layers[0].weight_bytes);
 }
@@ -251,10 +251,9 @@ TEST(Executor, DeterministicCyclesAcrossRuns) {
   Rng rng(7);
   const Graph g = tiny_cnn(8, rng);
   const Tensor8 input = Tensor8::random({8, 8, 16}, rng);
-  CompileOptions opt;
-  ScheduleExecutor e1(opt), e2(opt);
-  const auto r1 = e1.run(g, input);
-  const auto r2 = e2.run(g, input);
+  ExecutionEngine engine;
+  const auto r1 = engine.run(Compiler().compile(g), input);
+  const auto r2 = engine.run(Compiler().compile(g), input);
   EXPECT_EQ(r1.total_cycles, r2.total_cycles);
   EXPECT_TRUE(r1.output == r2.output);
 }
@@ -264,18 +263,17 @@ TEST(Executor, InterleavedWeightsReduceDmaCycles) {
   const Graph g = tiny_cnn(8, rng);
   const Tensor8 input = Tensor8::random({8, 8, 16}, rng);
   CompileOptions opt;
-  ScheduleExecutor inter(opt);
+  ExecutionEngine engine;
+  const auto r1 = engine.run(Compiler(opt).compile(g), input);
   opt.interleaved_weights = false;
-  ScheduleExecutor separate(opt);
-  const auto r1 = inter.run(g, input);
-  const auto r2 = separate.run(g, input);
+  const auto r2 = engine.run(Compiler(opt).compile(g), input);
   EXPECT_LE(r1.layers[0].dma_cycles, r2.layers[0].dma_cycles);
   EXPECT_TRUE(r1.output == r2.output);
 }
 
 TEST(Executor, WeightRegionSelection) {
-  EXPECT_EQ(ScheduleExecutor::weight_region(100 * 1024), MemRegion::kL2);
-  EXPECT_EQ(ScheduleExecutor::weight_region(10 * 1024 * 1024), MemRegion::kL3);
+  EXPECT_EQ(Compiler::weight_region(100 * 1024), MemRegion::kL2);
+  EXPECT_EQ(Compiler::weight_region(10 * 1024 * 1024), MemRegion::kL3);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Exec-layer tests: compile-once/execute-many. A CompiledPlan reused over
 // N inputs (or a batch) must be bit-exact — outputs AND per-layer cycle
-// reports — with N independent ScheduleExecutor::run calls, while each
+// reports — with N independent fresh compile-and-run calls, while each
 // unique (kernel, tile geometry) is simulated on the ISS only once across
 // the whole batch.
 
@@ -10,7 +10,6 @@
 #include <string>
 #include <thread>
 
-#include "compiler/schedule.hpp"
 #include "exec/compile.hpp"
 #include "exec/engine.hpp"
 #include "exec/tile_runner.hpp"
@@ -86,8 +85,9 @@ TEST(Exec, PlanReuseBitExactWithFreshExecutorsResnet18) {
 
   for (const Tensor8& input : inputs) {
     const NetworkRun reused = engine.run(plan, input);
-    ScheduleExecutor fresh(opt);  // fresh latency cache, re-simulates
-    const NetworkRun reference = fresh.run(g, input);
+    // fresh compiler and latency cache: re-simulates every tile
+    const NetworkRun reference =
+        ExecutionEngine().run(Compiler(opt).compile(g), input);
     expect_same_run(reused, reference);
   }
 }
@@ -127,8 +127,8 @@ TEST(Exec, RunBatchBitExactWithFreshExecutorsVit) {
 
   ASSERT_EQ(batch.runs.size(), inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
-    ScheduleExecutor fresh(opt);
-    expect_same_run(batch.runs[i], fresh.run(g, inputs[i]));
+    expect_same_run(batch.runs[i],
+                    ExecutionEngine().run(Compiler(opt).compile(g), inputs[i]));
   }
 }
 

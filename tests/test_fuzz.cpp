@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include "compiler/schedule.hpp"
+#include "exec/compile.hpp"
+#include "exec/engine.hpp"
 #include "isa/encoding.hpp"
 #include "models/models.hpp"
 #include "nn/prune.hpp"
+#include "nn/ref_ops.hpp"
 #include "testutil.hpp"
 
 namespace decimate {
@@ -68,9 +70,9 @@ TEST(IssFuzz, DeterministicAcrossRuns) {
   uint64_t cycles0 = 0;
   for (int run = 0; run < 3; ++run) {
     test::TestRig rig;
-    const KernelRun kr = rig.launcher->conv(KernelKind::kConvSparseSw, g,
-                                            test::test_requant(), input,
-                                            nullptr, &packed, bias);
+    const KernelRun kr = rig.runner->conv(KernelKind::kConvSparseSw, g,
+                                          test::test_requant(), input,
+                                          nullptr, &packed, bias);
     if (run == 0) {
       cycles0 = kr.result.wall_cycles;
     } else {
@@ -104,8 +106,8 @@ TEST(IssFuzz, RandomConvGeometriesMatchReference) {
     const NmPacked packed =
         nm_pack(w.flat(), g.k, g.fsz(), m, NmLayout::kConvIsaDup);
     const KernelRun kr =
-        rig.launcher->conv(KernelKind::kConvSparseIsa, g, test::test_requant(),
-                           input, nullptr, &packed, bias);
+        rig.runner->conv(KernelKind::kConvSparseIsa, g, test::test_requant(),
+                         input, nullptr, &packed, bias);
     ASSERT_TRUE(kr.output == expected)
         << "geom c=" << g.c << " k=" << g.k << " f=" << g.fx
         << " s=" << g.stride << " p=" << g.pad << " ix=" << g.ix
@@ -137,19 +139,19 @@ TEST(MixedSparsity, PerStagePatternsDeployIndependently) {
   const Tensor8 input = Tensor8::random({16, 16, 4}, rng);
   CompileOptions copt;
   copt.enable_isa = true;
-  ScheduleExecutor exec(copt);
-  const NetworkRun run = exec.run(g, input);
+  ExecutionEngine engine;
+  const NetworkRun run = engine.run(Compiler(copt).compile(g), input);
   EXPECT_GT(run.total_cycles, 0u);
   // mixed memory sits between uniform dense and uniform 1:16
   Resnet18Options dense_opt;
   dense_opt.input_hw = 16;
-  ScheduleExecutor exec2(copt);
-  const NetworkRun dense = exec2.run(build_resnet18(dense_opt), input);
+  const NetworkRun dense =
+      engine.run(Compiler(copt).compile(build_resnet18(dense_opt)), input);
   Resnet18Options s16;
   s16.input_hw = 16;
   s16.sparsity_m = 16;
-  ScheduleExecutor exec3(copt);
-  const NetworkRun sparse = exec3.run(build_resnet18(s16), input);
+  const NetworkRun sparse =
+      engine.run(Compiler(copt).compile(build_resnet18(s16)), input);
   EXPECT_LT(run.weight_bytes, dense.weight_bytes);
   EXPECT_GT(run.weight_bytes, sparse.weight_bytes);
   EXPECT_LT(run.total_cycles, dense.total_cycles);

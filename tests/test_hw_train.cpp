@@ -3,9 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/tile_runner.hpp"
 #include "hw/energy.hpp"
 #include "hw/xfu_area.hpp"
-#include "kernels/launch.hpp"
 #include "kernels/work_split.hpp"
 #include "nn/prune.hpp"
 #include "train/trainer.hpp"
@@ -103,12 +103,12 @@ TEST(Energy, SparseKernelUsesLessEnergyThanDense) {
   Tensor32 bias({g.k}, 0);
   const EnergyModel em;
   Cluster c1{ClusterConfig{}};
-  KernelLauncher l1(c1);
+  TileRunner l1(c1);
   Tensor8 dense_w = Tensor8::random({g.k, g.fsz()}, rng);
   const auto dense = l1.conv(KernelKind::kConvDense1x2, g, Requant{1, 8},
                              input, &dense_w, nullptr, bias);
   Cluster c2{ClusterConfig{}};
-  KernelLauncher l2(c2);
+  TileRunner l2(c2);
   Tensor8 sw = Tensor8::random({g.k, g.fsz()}, rng);
   nm_prune(sw.flat(), g.k, g.fsz(), 1, 16);
   const NmPacked packed =

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/ref_ops.hpp"
 #include "testutil.hpp"
 
 namespace decimate {
@@ -47,10 +48,10 @@ TEST_P(ConvKernelTest, MatchesReference) {
   KernelRun run;
   if (kernel_is_sparse(c.kind)) {
     const NmPacked packed = nm_pack(dense_w.flat(), c.g.k, c.g.fsz(), c.m,
-                                    KernelLauncher::layout_for(c.kind));
-    run = rig.launcher->conv(c.kind, c.g, rq, input, nullptr, &packed, bias);
+                                    TileRunner::layout_for(c.kind));
+    run = rig.runner->conv(c.kind, c.g, rq, input, nullptr, &packed, bias);
   } else {
-    run = rig.launcher->conv(c.kind, c.g, rq, input, &dense_w, nullptr, bias);
+    run = rig.runner->conv(c.kind, c.g, rq, input, &dense_w, nullptr, bias);
   }
   ASSERT_EQ(run.output.shape(), expected.shape());
   for (int64_t i = 0; i < expected.numel(); ++i) {
@@ -141,33 +142,33 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ConvKernelInstrCounts, InnerLoopsMatchPaper) {
   // Sec. 4.1: 14 (4x2), 5 (1x2), 22/23 (SW 1:8,1:16 / 1:4), 12 (ISA).
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kConvDense4x2, 0)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kConvDense4x2, 0)
                 .region_length(kInnerBegin, kInnerEnd),
             14);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kConvDense1x2, 0)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kConvDense1x2, 0)
                 .region_length(kInnerBegin, kInnerEnd),
             5);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kConvSparseSw, 8)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kConvSparseSw, 8)
                 .region_length(kInnerBegin, kInnerEnd),
             22);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kConvSparseSw, 16)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kConvSparseSw, 16)
                 .region_length(kInnerBegin, kInnerEnd),
             22);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kConvSparseSw, 4)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kConvSparseSw, 4)
                 .region_length(kInnerBegin, kInnerEnd),
             23);
   // M=2 shares the M=4 body (2-bit offsets): same inner-loop length.
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kConvSparseSw, 2)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kConvSparseSw, 2)
                 .region_length(kInnerBegin, kInnerEnd),
             23);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kConvSparseIsa, 8)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kConvSparseIsa, 8)
                 .region_length(kInnerBegin, kInnerEnd),
             12);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kConvSparseIsa, 16)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kConvSparseIsa, 16)
                 .region_length(kInnerBegin, kInnerEnd),
             12);
   // M=4 ISA: one offsets word covers two logical iterations.
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kConvSparseIsa, 4)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kConvSparseIsa, 4)
                 .region_length(kInnerBegin, kInnerEnd),
             23);
 }
@@ -188,11 +189,11 @@ TEST(ConvKernelPeaks, MacsPerInstructionApproachTheory) {
     if (kernel_is_sparse(kind)) {
       Tensor8 w = test::random_sparse_weights(g.k, g.fsz(), m, rng);
       const NmPacked packed =
-          nm_pack(w.flat(), g.k, g.fsz(), m, KernelLauncher::layout_for(kind));
-      run = rig.launcher->conv(kind, g, rq, input, nullptr, &packed, bias);
+          nm_pack(w.flat(), g.k, g.fsz(), m, TileRunner::layout_for(kind));
+      run = rig.runner->conv(kind, g, rq, input, nullptr, &packed, bias);
     } else {
       Tensor8 w = test::random_weights(g.k, g.fsz(), rng);
-      run = rig.launcher->conv(kind, g, rq, input, &w, nullptr, bias);
+      run = rig.runner->conv(kind, g, rq, input, &w, nullptr, bias);
     }
     // logical (not dense-equivalent) MACs per executed instruction
     const double logical_macs =
@@ -214,25 +215,25 @@ TEST(ConvKernel, RejectsBadGeometry) {
   Tensor8 in = Tensor8::random({4, 5, 8}, rng);
   Tensor8 w = test::random_weights(4, 8, rng);
   Tensor32 bias({4}, 0);
-  EXPECT_THROW(rig.launcher->conv(KernelKind::kConvDense1x2, g,
-                                  test::test_requant(), in, &w, nullptr, bias),
+  EXPECT_THROW(rig.runner->conv(KernelKind::kConvDense1x2, g,
+                                test::test_requant(), in, &w, nullptr, bias),
                Error);
   // C not multiple of 4
   ConvGeom g2{.ix = 4, .iy = 4, .c = 3, .k = 4, .fx = 1, .fy = 1};
   Tensor8 in2 = Tensor8::random({4, 4, 3}, rng);
   Tensor8 w2 = test::random_weights(4, 3, rng);
-  EXPECT_THROW(rig.launcher->conv(KernelKind::kConvDense1x2, g2,
-                                  test::test_requant(), in2, &w2, nullptr,
-                                  bias),
+  EXPECT_THROW(rig.runner->conv(KernelKind::kConvDense1x2, g2,
+                                test::test_requant(), in2, &w2, nullptr,
+                                bias),
                Error);
   // 4x2 needs K % 4
   ConvGeom g3{.ix = 4, .iy = 4, .c = 8, .k = 6, .fx = 1, .fy = 1};
   Tensor8 in3 = Tensor8::random({4, 4, 8}, rng);
   Tensor8 w3 = test::random_weights(6, 8, rng);
   Tensor32 bias3({6}, 0);
-  EXPECT_THROW(rig.launcher->conv(KernelKind::kConvDense4x2, g3,
-                                  test::test_requant(), in3, &w3, nullptr,
-                                  bias3),
+  EXPECT_THROW(rig.runner->conv(KernelKind::kConvDense4x2, g3,
+                                test::test_requant(), in3, &w3, nullptr,
+                                bias3),
                Error);
 }
 
@@ -246,21 +247,21 @@ TEST(ConvKernel, SingleCoreAndLockstepAgreeWithReference) {
   const Tensor8 expected = conv2d_s8(input, w, bias, g, test::test_requant());
 
   TestRig one_core(1);
-  const KernelRun r1 = one_core.launcher->conv(
+  const KernelRun r1 = one_core.runner->conv(
       KernelKind::kConvSparseSw, g, test::test_requant(), input, nullptr,
       &packed, bias);
   EXPECT_TRUE(r1.output == expected);
 
   TestRig lockstep(8, /*lockstep=*/true);
-  const KernelRun r2 = lockstep.launcher->conv(
+  const KernelRun r2 = lockstep.runner->conv(
       KernelKind::kConvSparseSw, g, test::test_requant(), input, nullptr,
       &packed, bias);
   EXPECT_TRUE(r2.output == expected);
   // contention can only slow things down
   TestRig seq(8);
-  const KernelRun r3 = seq.launcher->conv(KernelKind::kConvSparseSw, g,
-                                          test::test_requant(), input, nullptr,
-                                          &packed, bias);
+  const KernelRun r3 = seq.runner->conv(KernelKind::kConvSparseSw, g,
+                                        test::test_requant(), input, nullptr,
+                                        &packed, bias);
   EXPECT_GE(r2.result.wall_cycles, r3.result.wall_cycles);
 }
 

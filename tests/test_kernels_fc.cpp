@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/ref_ops.hpp"
 #include "testutil.hpp"
 
 namespace decimate {
@@ -44,10 +45,10 @@ TEST_P(FcKernelTest, MatchesReference) {
   KernelRun run;
   if (kernel_is_sparse(c.kind)) {
     const NmPacked packed =
-        nm_pack(w.flat(), c.g.k, c.g.c, c.m, KernelLauncher::layout_for(c.kind));
-    run = rig.launcher->fc(c.kind, c.g, rq, input, nullptr, &packed, bias);
+        nm_pack(w.flat(), c.g.k, c.g.c, c.m, TileRunner::layout_for(c.kind));
+    run = rig.runner->fc(c.kind, c.g, rq, input, nullptr, &packed, bias);
   } else {
-    run = rig.launcher->fc(c.kind, c.g, rq, input, &w, nullptr, bias);
+    run = rig.runner->fc(c.kind, c.g, rq, input, &w, nullptr, bias);
   }
   ASSERT_EQ(run.output.shape(), expected.shape());
   for (int64_t i = 0; i < expected.numel(); ++i) {
@@ -97,29 +98,29 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FcKernelInstrCounts, InnerLoopsMatchPaper) {
   // Sec. 4.2: dense 5; SW 16 (17 for 1:4); ISA 13 (25 per 2 iters for 1:4).
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kFcDense, 0)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kFcDense, 0)
                 .region_length(kInnerBegin, kInnerEnd),
             5);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kFcSparseSw, 8)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kFcSparseSw, 8)
                 .region_length(kInnerBegin, kInnerEnd),
             16);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kFcSparseSw, 16)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kFcSparseSw, 16)
                 .region_length(kInnerBegin, kInnerEnd),
             16);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kFcSparseSw, 4)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kFcSparseSw, 4)
                 .region_length(kInnerBegin, kInnerEnd),
             17);
   // M=2 shares the M=4 body (2-bit offsets): same inner-loop length.
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kFcSparseSw, 2)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kFcSparseSw, 2)
                 .region_length(kInnerBegin, kInnerEnd),
             17);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kFcSparseIsa, 8)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kFcSparseIsa, 8)
                 .region_length(kInnerBegin, kInnerEnd),
             13);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kFcSparseIsa, 16)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kFcSparseIsa, 16)
                 .region_length(kInnerBegin, kInnerEnd),
             13);
-  EXPECT_EQ(KernelLauncher::program_for(KernelKind::kFcSparseIsa, 4)
+  EXPECT_EQ(TileRunner::program_for(KernelKind::kFcSparseIsa, 4)
                 .region_length(kInnerBegin, kInnerEnd),
             25);
 }
@@ -136,9 +137,9 @@ TEST(FcKernelPeaks, DenseEquivalentMacsPerInstruction) {
     TestRig rig;
     Tensor8 w = test::random_sparse_weights(g.k, g.c, m, rng);
     const NmPacked packed =
-        nm_pack(w.flat(), g.k, g.c, m, KernelLauncher::layout_for(kind));
-    const KernelRun run = rig.launcher->fc(kind, g, test::test_requant(),
-                                           input, nullptr, &packed, bias);
+        nm_pack(w.flat(), g.k, g.c, m, TileRunner::layout_for(kind));
+    const KernelRun run = rig.runner->fc(kind, g, test::test_requant(),
+                                         input, nullptr, &packed, bias);
     return static_cast<double>(run.dense_macs) /
            static_cast<double>(run.result.total_instructions);
   };
@@ -155,14 +156,14 @@ TEST(FcKernel, SparseBeatsDenseAtHighSparsityOnCompute) {
   const Tensor32 bias = test::random_bias(g.k, rng);
   TestRig rig;
   Tensor8 dense_w = test::random_weights(g.k, g.c, rng);
-  const KernelRun dense = rig.launcher->fc(
+  const KernelRun dense = rig.runner->fc(
       KernelKind::kFcDense, g, test::test_requant(), input, &dense_w, nullptr,
       bias);
   Tensor8 sparse_w = test::random_sparse_weights(g.k, g.c, 16, rng);
   const NmPacked packed =
       nm_pack(sparse_w.flat(), g.k, g.c, 16, NmLayout::kFcIsaInterleaved);
   TestRig rig2;
-  const KernelRun sparse = rig2.launcher->fc(
+  const KernelRun sparse = rig2.runner->fc(
       KernelKind::kFcSparseIsa, g, test::test_requant(), input, nullptr,
       &packed, bias);
   EXPECT_LT(sparse.result.wall_cycles, dense.result.wall_cycles);
@@ -179,14 +180,14 @@ TEST(FcKernel, OddKRejectedForPairKernels) {
   const Tensor8 input = Tensor8::random({1, 32}, rng);
   Tensor8 w = test::random_weights(7, 32, rng);
   Tensor32 bias({7}, 0);
-  EXPECT_THROW(rig.launcher->fc(KernelKind::kFcDense, g, test::test_requant(),
-                                input, &w, nullptr, bias),
+  EXPECT_THROW(rig.runner->fc(KernelKind::kFcDense, g, test::test_requant(),
+                              input, &w, nullptr, bias),
                Error);
   // ...but fine for the SW sparse kernel (no channel pairing)
   Tensor8 ws = test::random_sparse_weights(7, 32, 8, rng);
   const NmPacked packed = nm_pack(ws.flat(), 7, 32, 8, NmLayout::kSw);
   const Tensor8 expected = fc_s8(input, ws, bias, test::test_requant());
-  const KernelRun run = rig.launcher->fc(
+  const KernelRun run = rig.runner->fc(
       KernelKind::kFcSparseSw, g, test::test_requant(), input, nullptr,
       &packed, bias);
   EXPECT_TRUE(run.output == expected);

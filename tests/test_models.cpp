@@ -3,7 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "compiler/schedule.hpp"
+#include "exec/compile.hpp"
+#include "exec/engine.hpp"
 #include "models/models.hpp"
 #include "nn/prune.hpp"
 
@@ -132,8 +133,8 @@ TEST(Vit, ScaledDownEndToEndRuns) {
   const Tensor8 input = Tensor8::random({64, 64, 4}, rng);
   CompileOptions copt;
   copt.enable_isa = true;
-  ScheduleExecutor exec(copt);
-  const NetworkRun run = exec.run(g, input);
+  const NetworkRun run =
+      ExecutionEngine().run(Compiler(copt).compile(g), input);
   EXPECT_EQ(run.output.shape(), (std::vector<int>{1, 10}));
   EXPECT_GT(run.total_cycles, 0u);
   EXPECT_GT(run.macs_per_cycle(), 0.1);
@@ -145,12 +146,13 @@ TEST(Resnet18, ScaledDownEndToEndSparseBeatsDense) {
   Rng rng(6);
   const Tensor8 input = Tensor8::random({16, 16, 4}, rng);
   CompileOptions copt;
-  ScheduleExecutor dense_exec(copt);
-  const auto dense = dense_exec.run(build_resnet18(ropt), input);
+  ExecutionEngine engine;
+  const auto dense =
+      engine.run(Compiler(copt).compile(build_resnet18(ropt)), input);
   ropt.sparsity_m = 16;
   copt.enable_isa = true;
-  ScheduleExecutor sparse_exec(copt);
-  const auto sparse = sparse_exec.run(build_resnet18(ropt), input);
+  const auto sparse =
+      engine.run(Compiler(copt).compile(build_resnet18(ropt)), input);
   EXPECT_LT(sparse.total_cycles, dense.total_cycles);
   EXPECT_LT(sparse.weight_bytes, dense.weight_bytes);
   EXPECT_GT(static_cast<double>(dense.total_cycles) /

@@ -6,7 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "compiler/schedule.hpp"
+#include "exec/compile.hpp"
+#include "exec/engine.hpp"
 #include "kernels/vecops.hpp"
 #include "nn/ref_ops.hpp"
 #include "testutil.hpp"
@@ -232,9 +233,9 @@ TEST_P(ExecutorVerifySweep, SingleTileLayersReplayOnIss) {
   const Tensor8 input = Tensor8::random({8, 8, 32}, rng);
   CompileOptions opt;
   opt.enable_isa = isa;
-  ScheduleExecutor exec(opt);
-  exec.set_verify_with_sim(true);  // throws on ISS/reference divergence
-  const NetworkRun run = exec.run(g, input);
+  ExecutionEngine engine;
+  engine.set_verify_with_sim(true);  // throws on ISS/reference divergence
+  const NetworkRun run = engine.run(Compiler(opt).compile(g), input);
   EXPECT_GT(run.total_cycles, 0u);
 }
 

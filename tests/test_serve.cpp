@@ -2,11 +2,12 @@
 // timeline (straggler deadline flush, full-batch flush, drain), the
 // Dispatcher's mode selection boundaries (loose SLO -> batch-fused, tight
 // SLO -> sharded single-image, mid SLO over a deep burst ->
-// data-parallel), oversize batches splitting into fused chunks, mixed
-// ResNet18/ViT-FFN request streams keyed to different plans, PlanStore
-// compile-once behavior, the structured run_batch mismatch error, and —
-// everywhere — bit-exactness of every served output against a sequential
-// ExecutionEngine::run.
+// data-parallel) with stats that report exactly the modeled placement
+// while the host runs fused chunks, oversize batches splitting into fused
+// chunks, mixed ResNet18/ViT-FFN request streams keyed to different plans,
+// PlanStore compile-once behavior, the structured run_batch mismatch
+// error, and — everywhere — bit-exactness of every served output against
+// a sequential ExecutionEngine::run.
 
 #include <gtest/gtest.h>
 
@@ -85,6 +86,41 @@ struct Harness {
           << "served output of request " << s.stats.id
           << " differs from sequential run (mode "
           << to_string(s.stats.mode) << ")";
+    }
+  }
+
+  /// The stats describe the modeled placement, not the host execution:
+  /// each request's mode, group size and completion cycles must be
+  /// exactly what evaluate() modeled for the mode choose() picks for its
+  /// batch (the requests of one model dispatched at one cycle, in id
+  /// order).
+  void expect_modeled_placement(const std::vector<Served>& served,
+                                const SloConfig& slo) {
+    std::map<std::pair<uint64_t, int>, std::vector<const ServedStats*>>
+        batches;
+    for (const Served& s : served) {
+      batches[{s.stats.dispatch_cycles, s.stats.model}].push_back(&s.stats);
+    }
+    for (auto& [key, members] : batches) {
+      std::sort(members.begin(), members.end(),
+                [](const ServedStats* a, const ServedStats* b) {
+                  return a->id < b->id;
+                });
+      std::vector<uint64_t> arrivals;
+      for (const ServedStats* s : members) {
+        arrivals.push_back(s->arrival_cycles);
+      }
+      const auto evals = dispatcher.evaluate(
+          key.second, static_cast<int>(members.size()), arrivals, key.first,
+          slo);
+      const ModeEval& pick = evals[Dispatcher::choose(evals)];
+      for (size_t i = 0; i < members.size(); ++i) {
+        EXPECT_EQ(members[i]->mode, pick.mode) << "request " << members[i]->id;
+        EXPECT_EQ(members[i]->group_size, pick.group_size[i])
+            << "request " << members[i]->id;
+        EXPECT_EQ(members[i]->completion_cycles, pick.completion_cycles[i])
+            << "request " << members[i]->id;
+      }
     }
   }
 
@@ -301,6 +337,7 @@ TEST(Serve, TightSloPicksShardedSingleImageExecution) {
     EXPECT_LT(s.stats.exec_cycles(), total)
         << "sharded execution must beat the batch=1 single-cluster latency";
   }
+  h.expect_modeled_placement(served, slo);
   h.expect_bit_exact(served, trace);
 }
 
@@ -323,6 +360,7 @@ TEST(Serve, LooseSloPicksBatchFusedPlans) {
   // fused serving must consume fewer cycles than four serial images
   const uint64_t total = h.store.plan(m, 1, 1).total_cycles;
   EXPECT_LT(served[0].stats.exec_cycles(), 4 * total);
+  h.expect_modeled_placement(served, slo);
   h.expect_bit_exact(served, trace);
 }
 
@@ -356,6 +394,7 @@ TEST(Serve, MidSloOverADeepBurstPicksDataParallel) {
     EXPECT_EQ(s.stats.mode, ServeMode::kDataParallel);
     EXPECT_TRUE(s.stats.deadline_hit);
   }
+  h.expect_modeled_placement(served, slo);
   h.expect_bit_exact(served, trace);
 }
 

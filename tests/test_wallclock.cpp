@@ -1,8 +1,9 @@
 // Wall-clock serving tests: the FaultInjector's deterministic schedules,
 // EDF queue ordering and shed-victim selection, the pure admission
 // decision, and the WallClockServer end to end — a 4-thread bit-exact
-// smoke (the TSan target), reject-at-admission, shed-under-burst,
-// queue-full rejection with shedding off, and every rung of the
+// smoke (the TSan target), prediction error against the pre-dispatch
+// prediction, reject-at-admission, shed-under-burst, queue-full
+// rejection with shedding off, and every rung of the
 // fault-tolerance ladder under seeded injection: retry-then-succeed,
 // watchdog-timeout-then-per-image-redispatch, quarantine-after-N
 // consecutive failures, corrupt-artifact fallback to a fresh compile,
@@ -330,6 +331,39 @@ TEST(WallClock, ServesConcurrentSubmittersBitExact) {
   }
 }
 
+TEST(WallClock, PredictionErrorUsesThePreDispatchPrediction) {
+  PlanStore store(isa_options(), shared_test_cache());
+  const Graph g = small_ffn();
+  const int m = store.add_model(g);
+
+  WallClockConfig cfg;
+  cfg.max_batch = 2;
+  cfg.watchdog_floor_ns = 30'000'000'000;  // a slow host must not redispatch
+  WallClockServer server(store, DispatchConfig{1, {1, 2}}, cfg);
+  server.warm(m);
+  // nothing has been served yet, so this is the estimate the first
+  // batch's admission and watchdog act on
+  const uint64_t pred = server.predicted_exec_ns(m, 2);
+  auto& errors = metrics::registry().histogram("serve.wall.model_error_pct");
+  const uint64_t errors_before = errors.count();
+
+  Rng rng(31);
+  server.submit(request(0, m, Tensor8::random(input_shape(g), rng)));
+  server.submit(request(1, m, Tensor8::random(input_shape(g), rng)));
+  server.close();
+  const auto done = server.serve();
+
+  ASSERT_EQ(done.size(), 2u);
+  for (const WallServed& w : done) {
+    ASSERT_EQ(w.outcome, ServeOutcome::kOk) << w.detail;
+    EXPECT_EQ(w.group_size, 2);
+    EXPECT_EQ(w.modeled_exec_ns, pred)
+        << "the report must carry the prediction made before dispatch, "
+           "not one recomputed after the calibration absorbed the batch";
+  }
+  EXPECT_EQ(errors.count(), errors_before + 1);  // one per batch
+}
+
 TEST(WallClock, RejectsAtAdmissionWhenDeadlineIsInfeasible) {
   PlanStore store(isa_options(), shared_test_cache());
   const Graph g = small_ffn();
@@ -545,6 +579,7 @@ TEST(WallClock, WatchdogTimeoutRecoversViaPerImageRedispatch) {
   cfg.watchdog_factor = 1.0;
   WallClockServer server(store, DispatchConfig{1, {1, 2}}, cfg);
   server.warm(m);
+  const uint64_t single_pred = server.predicted_exec_ns(m, 1);
 
   Rng rng(29);
   const Tensor8 in0 = Tensor8::random(input_shape(g), rng);
@@ -555,6 +590,8 @@ TEST(WallClock, WatchdogTimeoutRecoversViaPerImageRedispatch) {
 
   const uint64_t timeouts_before =
       metrics::registry().counter("serve.wall.timeouts").value();
+  auto& exec_ns = metrics::registry().histogram("serve.wall.exec_ns");
+  const uint64_t exec_samples_before = exec_ns.count();
   const auto done = server.serve();
 
   ASSERT_EQ(done.size(), 2u);
@@ -566,7 +603,10 @@ TEST(WallClock, WatchdogTimeoutRecoversViaPerImageRedispatch) {
         << "request " << id << ": " << w->detail;
     EXPECT_TRUE(w->redispatched);
     EXPECT_EQ(w->group_size, 1);  // per-image recovery
+    EXPECT_EQ(w->modeled_exec_ns, single_pred);  // admission's estimate
   }
+  // redispatched requests record their exec time like every served one
+  EXPECT_EQ(exec_ns.count(), exec_samples_before + 2);
   EXPECT_TRUE(by_id[0]->output == engine.run(store.plan(m, 1, 1), in0).output);
   EXPECT_TRUE(by_id[1]->output == engine.run(store.plan(m, 1, 1), in1).output);
   EXPECT_GT(metrics::registry().counter("serve.wall.timeouts").value(),

@@ -1,11 +1,11 @@
 #pragma once
 // Shared helpers for the test suite: deterministic random layers, sparse
-// weight synthesis, and a small harness around Cluster/KernelLauncher.
+// weight synthesis, and a small harness around Cluster/TileRunner.
 
 #include <memory>
 
 #include "common/rng.hpp"
-#include "kernels/launch.hpp"
+#include "exec/tile_runner.hpp"
 #include "nn/prune.hpp"
 #include "sim/cluster.hpp"
 
@@ -39,10 +39,10 @@ struct TestRig {
     cfg.num_cores = cores;
     cfg.lockstep = lockstep;
     cluster = std::make_unique<Cluster>(cfg);
-    launcher = std::make_unique<KernelLauncher>(*cluster);
+    runner = std::make_unique<TileRunner>(*cluster);
   }
   std::unique_ptr<Cluster> cluster;
-  std::unique_ptr<KernelLauncher> launcher;
+  std::unique_ptr<TileRunner> runner;
 };
 
 }  // namespace decimate::test
