@@ -1,6 +1,6 @@
 // Serving throughput vs SLO: a deterministic Poisson-like request trace
 // (seeded via common/rng.hpp) is served through the full runtime —
-// Server queue -> SLO Batcher -> PlanStore -> Dispatcher — while the SLO
+// serve_trace -> SLO Batcher -> PlanStore -> Dispatcher — while the SLO
 // deadline sweeps from tight to loose. Per point we report the deadline
 // hit rate, modeled throughput, latency percentiles, and which modeled
 // placement the dispatcher chose (batch-fused / sharded single-image /
@@ -16,7 +16,8 @@
 //                   [--wallclock] [--overload] [--faults]
 //
 // --smoke shrinks the models and traces so CI can run the bench in
-// seconds. --registry attaches DIR as the PlanStore's artifact tier:
+// seconds; its stdout (the modeled SLO sweep) is pinned byte for byte by
+// the golden_bench_serving_smoke ctest. --registry attaches DIR as the PlanStore's artifact tier:
 // warm-up plans come from (and freshly compiled ones are published to)
 // the registry, and the latency cache persists to DIR/latencies.bin —
 // a second run against the same DIR warms up with zero compiles and
@@ -48,8 +49,8 @@
 
 #include "bench_util.hpp"
 #include "exec/engine.hpp"
+#include "serve/dispatcher.hpp"
 #include "serve/fault.hpp"
-#include "serve/server.hpp"
 #include "serve/wallclock.hpp"
 #include "trace/energy_attr.hpp"
 #include "trace/metrics.hpp"
@@ -117,14 +118,6 @@ std::vector<Request> copy_trace(const std::vector<Request>& trace) {
     out.push_back(Request{r.id, r.model, r.arrival_cycles, r.input});
   }
   return out;
-}
-
-std::vector<Served> serve_trace(Dispatcher& dispatcher, const SloConfig& slo,
-                                std::vector<Request> trace) {
-  Server server(dispatcher, slo);
-  for (Request& r : trace) server.submit(std::move(r));
-  server.close();
-  return server.serve();
 }
 
 /// Sustained serving rate: images per megacycle between the first

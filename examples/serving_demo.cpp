@@ -1,9 +1,10 @@
 // Serving demo: the same deterministic request trace served under a
 // tight and a loose latency SLO. The PlanStore pre-compiles every
-// (batch x cluster) plan variant once; the Server queues single-image
-// requests; the Batcher forms batches on the modeled-cycle timeline; and
-// the Dispatcher picks — per batch — between batch-fused execution,
-// sharding each image across the clusters, and data-parallel placement.
+// (batch x cluster) plan variant once; serve_trace feeds the single-image
+// requests to the Batcher, which forms batches on the modeled-cycle
+// timeline; and the Dispatcher picks — per batch — between batch-fused
+// execution, sharding each image across the clusters, and data-parallel
+// placement.
 // Watch the chosen mode flip from sharded (tight SLO: lowest latency) to
 // batch-fused (loose SLO: fewest cycles per image).
 //
@@ -13,7 +14,7 @@
 
 #include "common/table.hpp"
 #include "models/models.hpp"
-#include "serve/server.hpp"
+#include "serve/dispatcher.hpp"
 
 using namespace decimate;
 
@@ -33,10 +34,8 @@ std::vector<Request> make_trace(int model, const std::vector<int>& shape,
 
 void serve_and_print(const char* label, Dispatcher& dispatcher,
                      const SloConfig& slo, std::vector<Request> trace) {
-  Server server(dispatcher, slo);
-  for (Request& r : trace) server.submit(std::move(r));
-  server.close();
-  const std::vector<Served> served = server.serve();
+  const std::vector<Served> served =
+      serve_trace(dispatcher, slo, std::move(trace));
 
   std::cout << label << " (deadline " << slo.deadline_cycles
             << " cyc, max wait " << slo.max_wait_cycles << " cyc, max batch "

@@ -1,5 +1,5 @@
 // Observability demo: a mixed ResNet18 + ViT-FFN request stream served
-// through the full runtime stack (Server -> Batcher -> Dispatcher ->
+// through the full runtime stack (serve_trace -> Batcher -> Dispatcher ->
 // engines) with span tracing and the metrics registry live, then three
 // artifacts written from the same run:
 //
@@ -23,10 +23,11 @@
 //   ./examples/trace_demo
 
 #include <iostream>
+#include <set>
 
 #include "common/table.hpp"
 #include "models/models.hpp"
-#include "serve/server.hpp"
+#include "serve/dispatcher.hpp"
 #include "trace/energy_attr.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -87,14 +88,16 @@ int main() {
   slo.deadline_cycles = 2 * total1;
   slo.max_batch = 4;
 
-  Server server(dispatcher, slo);
-  auto trace_reqs = mixed_trace(resnet, resnet_graph.node(0).out_shape, ffn,
-                                ffn_graph.node(0).out_shape, 12, total1 / 3);
-  for (Request& r : trace_reqs) server.submit(std::move(r));
-  server.close();
-  const std::vector<Served> served = server.serve();
+  const std::vector<Served> served = serve_trace(
+      dispatcher, slo,
+      mixed_trace(resnet, resnet_graph.node(0).out_shape, ffn,
+                  ffn_graph.node(0).out_shape, 12, total1 / 3));
+  // a batch dispatches no earlier than its predecessor finishes, so each
+  // batch has its own dispatch cycle
+  std::set<uint64_t> batch_starts;
+  for (const Served& s : served) batch_starts.insert(s.stats.dispatch_cycles);
   std::cout << "served " << served.size() << " requests in "
-            << server.batches_dispatched() << " batches\n\n";
+            << batch_starts.size() << " batches\n\n";
 
   // --- energy attribution: J/request and J/layer -------------------------
   const trace::EnergyAttribution ea =

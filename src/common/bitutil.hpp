@@ -1,6 +1,6 @@
 #pragma once
-// Small bit-manipulation helpers shared by the ISA model, the N:M packers
-// and the quantization code.
+// Small bit-manipulation helpers shared by the ISA model, the N:M packers,
+// the quantization code and the serving deadline arithmetic.
 
 #include <cstdint>
 
@@ -29,6 +29,12 @@ constexpr int32_t sign_extend(uint32_t v, unsigned width) {
   const uint32_t m = 1u << (width - 1);
   v &= (width >= 32) ? ~0u : ((1u << width) - 1u);
   return static_cast<int32_t>((v ^ m) - m);
+}
+
+/// a + b, clamped at UINT64_MAX instead of wrapping.
+constexpr uint64_t saturating_add(uint64_t a, uint64_t b) {
+  const uint64_t sum = a + b;
+  return sum < a ? UINT64_MAX : sum;
 }
 
 /// Ceiling division for non-negative integers.

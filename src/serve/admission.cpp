@@ -9,7 +9,6 @@ const char* to_string(ServeReason reason) {
   switch (reason) {
     case ServeReason::kNone: return "none";
     case ServeReason::kAdmissionInfeasible: return "admission_infeasible";
-    case ServeReason::kQueueFull: return "queue_full";
     case ServeReason::kShedQueueDepth: return "shed_queue_depth";
     case ServeReason::kShedPredictedWait: return "shed_predicted_wait";
     case ServeReason::kWorkerFault: return "worker_fault";
@@ -30,25 +29,18 @@ ServeError::ServeError(ServeReason reason, uint64_t request_id,
       reason_(reason),
       request_id_(request_id) {}
 
-ServeReason admission_decision(const AdmissionPolicy& policy, uint64_t now_ns,
-                               uint64_t deadline_abs_ns,
-                               uint64_t predicted_exec_ns, uint64_t backlog_ns,
-                               size_t queue_depth) {
-  // With shedding on, a full queue is not a rejection: the arrival is
-  // admitted and the EDF queue evicts the least valuable entry instead
-  // (which may turn out to be the arrival itself).
-  if (!policy.shedding && queue_depth >= policy.max_queue_depth) {
-    return ServeReason::kQueueFull;
-  }
-  if (policy.admission_control) {
-    const double need =
-        static_cast<double>(backlog_ns + predicted_exec_ns) * policy.headroom;
-    if (static_cast<double>(now_ns) + need >
-        static_cast<double>(deadline_abs_ns)) {
-      return ServeReason::kAdmissionInfeasible;
-    }
-  }
-  return ServeReason::kNone;
+ServeReason admission_decision(uint64_t now_ns, uint64_t deadline_abs_ns,
+                               uint64_t predicted_exec_ns,
+                               uint64_t backlog_ns) {
+  // A full queue is not a rejection: the arrival is admitted and the EDF
+  // queue evicts the least valuable entry instead (which may turn out to
+  // be the arrival itself).
+  const double need = static_cast<double>(backlog_ns + predicted_exec_ns) *
+                      kAdmissionHeadroom;
+  return static_cast<double>(now_ns) + need >
+                 static_cast<double>(deadline_abs_ns)
+             ? ServeReason::kAdmissionInfeasible
+             : ServeReason::kNone;
 }
 
 void EdfQueue::push(QueuedRequest q) {

@@ -3,12 +3,14 @@
 //
 // The wall-clock server holds arrivals in an EDF (earliest-deadline-
 // first) queue bounded by AdmissionPolicy::max_queue_depth. Three
-// mechanisms keep overload from turning into unbounded latency:
+// mechanisms, always on, keep overload from turning into unbounded
+// latency:
 //
 //  - Admission control rejects a request at submit() when the predicted
-//    completion (backlog + its own service time, scaled by a headroom
-//    factor) already misses its deadline — better a fast typed rejection
-//    the client can retry elsewhere than a slow guaranteed miss.
+//    completion (backlog + its own service time, scaled by
+//    kAdmissionHeadroom) already misses its deadline — better a fast
+//    typed rejection the client can retry elsewhere than a slow
+//    guaranteed miss.
 //  - Depth shedding evicts the lowest-value / latest-deadline entry once
 //    the queue exceeds the policy depth (the arriving request competes
 //    with the queued ones, so a high-value arrival displaces a low-value
@@ -34,7 +36,6 @@ namespace decimate {
 enum class ServeReason : uint8_t {
   kNone = 0,
   kAdmissionInfeasible,  // predicted completion already misses the deadline
-  kQueueFull,            // bounded inbox full and shedding is disabled
   kShedQueueDepth,       // shed: queue depth exceeded policy
   kShedPredictedWait,    // shed: queue wait left no budget to execute
   kWorkerFault,          // execution kept failing after retries
@@ -57,14 +58,15 @@ class ServeError : public Error {
 };
 
 struct AdmissionPolicy {
-  bool admission_control = true;
-  bool shedding = true;
+  /// Queue depth beyond which the EDF queue sheds its least valuable
+  /// entry (a full queue still admits; the arrival competes to stay).
   size_t max_queue_depth = 64;
-  /// Safety factor on predicted service times in feasibility checks: the
-  /// calibrated cycle model is optimistic about wall-clock jitter, and
-  /// rejecting slightly early beats missing a deadline slightly late.
-  double headroom = 1.25;
 };
+
+/// Safety factor on predicted service times in feasibility checks: the
+/// calibrated cycle model is optimistic about wall-clock jitter, and
+/// rejecting slightly early beats missing a deadline slightly late.
+inline constexpr double kAdmissionHeadroom = 1.25;
 
 /// A wall-clock inference request. `deadline_ns` is relative to arrival
 /// (0 = the server's configured default); `value` orders shed victims —
@@ -89,10 +91,9 @@ struct QueuedRequest {
 /// Pure admission decision for one arriving request; kNone = admit.
 /// `backlog_ns` is the predicted service time of everything already
 /// admitted but not completed (queued + in flight).
-ServeReason admission_decision(const AdmissionPolicy& policy, uint64_t now_ns,
-                               uint64_t deadline_abs_ns,
-                               uint64_t predicted_exec_ns, uint64_t backlog_ns,
-                               size_t queue_depth);
+ServeReason admission_decision(uint64_t now_ns, uint64_t deadline_abs_ns,
+                               uint64_t predicted_exec_ns,
+                               uint64_t backlog_ns);
 
 /// Earliest-deadline-first queue with value-aware shedding. Not
 /// thread-safe: the wall-clock server guards it with its own mutex.

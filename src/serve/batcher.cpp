@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitutil.hpp"
 #include "common/check.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -33,17 +34,8 @@ void Batcher::admit(Request r) {
       static_cast<int64_t>(pending_));
 }
 
-namespace {
-
-uint64_t saturating_add(uint64_t a, uint64_t b) {
-  const uint64_t sum = a + b;
-  return sum < a ? UINT64_MAX : sum;
-}
-
-}  // namespace
-
 std::optional<FormedBatch> Batcher::try_form(
-    uint64_t free_at, std::optional<uint64_t> next_arrival, bool closed) {
+    uint64_t free_at, std::optional<uint64_t> next_arrival) {
   if (pending_ == 0) return std::nullopt;
 
   const size_t want = static_cast<size_t>(slo_.max_batch);
@@ -97,12 +89,10 @@ std::optional<FormedBatch> Batcher::try_form(
       reason = FlushReason::kDeadline;
       take = queue->size();
       dispatch = std::max(free_at, deadline);
-    } else if (closed) {
+    } else {
       reason = FlushReason::kDrain;
       take = queue->size();
       dispatch = std::max(free_at, queue->back().arrival_cycles);
-    } else {
-      return std::nullopt;  // open stream, future unknown: wait for info
     }
   }
 

@@ -15,16 +15,14 @@
 //               *provable* that no further request can join before then
 //               (the next unadmitted arrival — supplied by the caller —
 //               lies beyond the flush point). Dispatch at the deadline.
-//  - kDrain:    the stream is closed; nothing more can arrive, so waiting
-//               buys nothing — dispatch immediately.
+//  - kDrain:    the trace is exhausted (no next arrival); nothing more
+//               can arrive, so waiting buys nothing — dispatch
+//               immediately.
 //
 // try_form returns nullopt when no batch can be decided yet: either there
 // is nothing pending, or the next arrival would join the forming batch
-// (admit it first), or the future is unknown (open stream, no next
-// arrival visible) — the Server then blocks on its inbox for more
-// information. Because decisions depend only on arrival cycles and the
-// closed flag, batch formation is deterministic for a given trace no
-// matter how submission threads interleave in wall time.
+// (admit it first). Because decisions depend only on arrival cycles,
+// batch formation is deterministic for a given trace.
 
 #include <deque>
 #include <map>
@@ -60,14 +58,10 @@ class Batcher {
 
   /// Try to form the next batch. `free_at` is when the engine is next
   /// idle; `next_arrival` is the arrival cycle of the earliest
-  /// not-yet-admitted request (nullopt when the inbox is empty); `closed`
-  /// means no further request will ever arrive. Returns nullopt when
-  /// undecidable (see file comment).
+  /// not-yet-admitted request, nullopt when the trace is exhausted.
+  /// Returns nullopt when undecidable (see file comment).
   std::optional<FormedBatch> try_form(uint64_t free_at,
-                                      std::optional<uint64_t> next_arrival,
-                                      bool closed);
-
-  const SloConfig& slo() const { return slo_; }
+                                      std::optional<uint64_t> next_arrival);
 
  private:
   SloConfig slo_;

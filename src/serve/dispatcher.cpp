@@ -42,6 +42,15 @@ void record_served_metrics(const DispatchResult& out) {
 
 }  // namespace
 
+const char* to_string(ServeMode mode) {
+  switch (mode) {
+    case ServeMode::kBatchFused: return "batch_fused";
+    case ServeMode::kShardedSingle: return "sharded_single";
+    case ServeMode::kDataParallel: return "data_parallel";
+  }
+  return "?";
+}
+
 Dispatcher::Dispatcher(PlanStore& store, const DispatchConfig& cfg)
     : store_(store), cfg_(cfg), mce_(cfg.num_clusters) {
   DECIMATE_CHECK(cfg_.num_clusters >= 1,
@@ -321,6 +330,46 @@ DispatchResult Dispatcher::dispatch(FormedBatch batch, const SloConfig& slo) {
   }
   record_served_metrics(out);
   return out;
+}
+
+std::vector<Served> serve_trace(Dispatcher& dispatcher, const SloConfig& slo,
+                                std::vector<Request> trace) {
+  trace::TraceScope serve_span(trace::Cat::kServe, "serve_trace");
+  metrics::registry().counter("serve.requests_submitted").inc(trace.size());
+  Batcher batcher(slo);
+  std::vector<Served> done;
+  done.reserve(trace.size());
+  uint64_t free_at = 0;
+  size_t next = 0;
+  for (;;) {
+    const std::optional<uint64_t> next_arrival =
+        next < trace.size() ? std::optional(trace[next].arrival_cycles)
+                            : std::nullopt;
+    if (auto batch = batcher.try_form(free_at, next_arrival)) {
+      DispatchResult result = dispatcher.dispatch(std::move(*batch), slo);
+      free_at = std::max(free_at, result.finish_cycles);
+      for (Served& s : result.served) {
+        trace::instant(trace::Cat::kServe, "request.reply", s.stats.id,
+                       trace::Flow::kEnd, "latency_cycles",
+                       static_cast<int64_t>(s.stats.latency_cycles()));
+        done.push_back(std::move(s));
+      }
+    } else if (next < trace.size()) {
+      // nothing to flush yet: admit the next arrival (its flow starts
+      // here)
+      Request& r = trace[next++];
+      trace::instant(trace::Cat::kServe, "request.arrival", r.id,
+                     trace::Flow::kStart, "arrival_cycles",
+                     static_cast<int64_t>(r.arrival_cycles));
+      batcher.admit(std::move(r));
+    } else {
+      // without a next arrival try_form drains, so nothing is pending
+      DECIMATE_CHECK(!batcher.has_pending(),
+                     "serve loop stalled with pending requests");
+      break;
+    }
+  }
+  return done;
 }
 
 }  // namespace decimate

@@ -41,6 +41,14 @@
 // recoverable, unlike a bare Error), the dispatcher re-runs the chunk
 // image by image on the unfused plan instead of failing the batch, and
 // restamps the affected stats when the modeled placement is kBatchFused.
+//
+// serve_trace is the modeled-cycle serving loop over a complete request
+// trace: a Batcher forms batches from arrival cycles alone, each batch
+// dispatches once the modeled engine is free (free_at advances by each
+// batch's modeled makespan), and this Dispatcher picks its placement.
+// Every decision is a function of the trace, so serving the same trace
+// twice yields identical batches, modes, stats and bit-exact outputs.
+// WallClockServer (wallclock.hpp) serves live requests on wall time.
 
 #include <vector>
 
@@ -139,5 +147,11 @@ class Dispatcher {
   ExecutionEngine engine_;
   MultiClusterEngine mce_;  // shard schedules for the kShardedSingle model
 };
+
+/// Serve `trace` (arrival cycles nondecreasing, or an Error is thrown) on
+/// the modeled-cycle timeline under `slo`. Returns every request in
+/// dispatch order; stats.id re-associates results with the trace.
+std::vector<Served> serve_trace(Dispatcher& dispatcher, const SloConfig& slo,
+                                std::vector<Request> trace);
 
 }  // namespace decimate

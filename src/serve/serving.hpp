@@ -1,12 +1,13 @@
 #pragma once
-// Shared types of the serving runtime (see server.hpp for the overview).
+// Shared types of the serving runtime (see dispatcher.hpp for the
+// overview).
 //
-// Server's time is modeled ISS cycles, not wall clock: requests carry an
-// arrival cycle, the Batcher's wait/flush decisions and the Dispatcher's
-// mode choice are computed from the plans' precomputed cycle reports, and
-// ServedStats reports queue wait / completion on the same virtual
-// timeline. That keeps every serving decision — and therefore every
-// served output — bit-reproducible for a given arrival trace.
+// serve_trace's time is modeled ISS cycles, not wall clock: requests
+// carry an arrival cycle, the Batcher's wait/flush decisions and the
+// Dispatcher's mode choice are computed from the plans' precomputed cycle
+// reports, and ServedStats reports queue wait / completion on the same
+// virtual timeline. That keeps every serving decision — and therefore
+// every served output — bit-reproducible for a given arrival trace.
 // WallClockServer (wallclock.hpp) reuses these types on real time.
 //
 // ServedStats describes the modeled placement: its mode, group size and
@@ -31,7 +32,8 @@ enum class ServeMode : uint8_t {
 
 const char* to_string(ServeMode mode);
 
-/// The serving contract a Server enforces, in modeled cycles.
+/// The serving contract the Batcher and Dispatcher enforce, in modeled
+/// cycles.
 struct SloConfig {
   /// A partial batch flushes once its oldest request has waited this long.
   uint64_t max_wait_cycles = 0;
@@ -44,8 +46,8 @@ struct SloConfig {
 };
 
 /// One single-image inference request. `model` is the id PlanStore
-/// returned from add_model; arrival cycles must be submitted in
-/// nondecreasing order (the virtual clock only moves forward).
+/// returned from add_model; arrival cycles must be nondecreasing along a
+/// trace (the virtual clock only moves forward).
 struct Request {
   uint64_t id = 0;
   int model = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/bitutil.hpp"
 #include "common/rng.hpp"
 #include "serve/fault.hpp"
 #include "trace/metrics.hpp"
@@ -36,6 +37,11 @@ void sleep_ns(uint64_t ns) {
   std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
 }
 
+// Executor threads. One is enough for throughput (a dispatch already fans
+// out over the worker pool); the second keeps serving while an abandoned
+// straggler finishes dying.
+constexpr int kExecutors = 2;
+
 }  // namespace
 
 const char* to_string(ServeOutcome outcome) {
@@ -48,6 +54,15 @@ const char* to_string(ServeOutcome outcome) {
   return "?";
 }
 
+uint64_t ns_to_cycles(uint64_t budget_ns, double ns_per_cycle) {
+  if (ns_per_cycle <= 0.0) return UINT64_MAX;
+  const double cycles = static_cast<double>(budget_ns) / ns_per_cycle;
+  // converting a double at or beyond 2^64 to uint64_t is undefined
+  return cycles >= static_cast<double>(UINT64_MAX)
+             ? UINT64_MAX
+             : static_cast<uint64_t>(cycles);
+}
+
 WallClockServer::WallClockServer(PlanStore& store,
                                  const DispatchConfig& dispatch_cfg,
                                  const WallClockConfig& cfg)
@@ -55,18 +70,17 @@ WallClockServer::WallClockServer(PlanStore& store,
       dispatch_cfg_(dispatch_cfg),
       cfg_(cfg),
       epoch_(std::chrono::steady_clock::now()) {
-  DECIMATE_CHECK(cfg_.executors >= 1, "need at least one executor");
   DECIMATE_CHECK(cfg_.max_batch >= 1, "max_batch must be >= 1");
   // One Dispatcher per executor: Dispatcher (and its MultiClusterEngine)
   // is single-caller by design; per-thread instances over the shared
   // thread-safe PlanStore make the concurrency story trivial.
-  for (int i = 0; i < cfg_.executors; ++i) {
+  for (int i = 0; i < kExecutors; ++i) {
     dispatchers_.push_back(
         std::make_unique<Dispatcher>(store_, dispatch_cfg_));
   }
   // normalized fused sizes (sorted, containing 1) for the cycle tables
   dispatch_cfg_ = dispatchers_.front()->config();
-  for (int i = 0; i < cfg_.executors; ++i) {
+  for (int i = 0; i < kExecutors; ++i) {
     executor_threads_.emplace_back([this, i] { executor_loop(i); });
   }
 }
@@ -206,12 +220,12 @@ void WallClockServer::submit(WallRequest r) {
     const uint64_t rel = r.deadline_ns != 0 ? r.deadline_ns : cfg_.deadline_ns;
     QueuedRequest q;
     q.arrival_ns = now;
-    q.deadline_abs_ns = now + rel;
+    q.deadline_abs_ns = saturating_add(now, rel);
     q.predicted_exec_ns = predicted_exec_ns_locked(r.model, 1);
     q.req = std::move(r);
-    const ServeReason why = admission_decision(
-        cfg_.admission, now, q.deadline_abs_ns, q.predicted_exec_ns,
-        inflight_pred_ns_ + queue_.backlog_ns(), queue_.size());
+    const ServeReason why =
+        admission_decision(now, q.deadline_abs_ns, q.predicted_exec_ns,
+                           inflight_pred_ns_ + queue_.backlog_ns());
     if (why != ServeReason::kNone) {
       record_terminal(q, ServeOutcome::kRejected, why, "", 0);
       return;
@@ -240,10 +254,7 @@ void WallClockServer::close() {
 }
 
 void WallClockServer::update_brownout_locked(size_t depth) {
-  if (!cfg_.brownout) return;
-  const size_t d0 = cfg_.brownout_depth != 0
-                        ? cfg_.brownout_depth
-                        : 4 * static_cast<size_t>(cfg_.max_batch);
+  const size_t d0 = 4 * static_cast<size_t>(cfg_.max_batch);
   const int level = depth >= 3 * d0 ? 3 : depth >= 2 * d0 ? 2
                                       : depth >= d0       ? 1
                                                           : 0;
@@ -251,7 +262,7 @@ void WallClockServer::update_brownout_locked(size_t depth) {
     auto& reg = metrics::registry();
     reg.counter("serve.wall.brownout_transitions").inc();
     reg.gauge("serve.wall.brownout_level").set(level);
-    trace::instant(trace::Cat::kServe, "wallclock.brownout", 0,
+    trace::instant(trace::Cat::kServe, "wallclock.brownout_level", 0,
                    trace::Flow::kNone, "level", level);
     brownout_level_ = level;
   }
@@ -265,7 +276,7 @@ void WallClockServer::shed_infeasible_locked(uint64_t now) {
   uint64_t cum_ns = 0;
   for (QueuedRequest& qr : all) {
     const double need = static_cast<double>(cum_ns + qr.predicted_exec_ns) *
-                        cfg_.admission.headroom;
+                        kAdmissionHeadroom;
     if (static_cast<double>(now) + need >
         static_cast<double>(qr.deadline_abs_ns)) {
       record_terminal(qr, ServeOutcome::kShed, ServeReason::kShedPredictedWait,
@@ -285,7 +296,7 @@ std::vector<WallServed> WallClockServer::serve() {
     cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
     if (queue_.empty()) break;  // closed and drained
     update_brownout_locked(queue_.size());
-    if (brownout_level_ >= 3 && cfg_.admission.shedding) {
+    if (brownout_level_ >= 3) {
       shed_infeasible_locked(now_ns());
       if (queue_.empty()) continue;
     }
@@ -309,9 +320,8 @@ std::vector<WallServed> WallClockServer::serve() {
     for (QueuedRequest& qr : batch) {
       const double done_at =
           static_cast<double>(now) +
-          static_cast<double>(pred) * cfg_.admission.headroom;
-      if (cfg_.admission.shedding &&
-          done_at > static_cast<double>(qr.deadline_abs_ns)) {
+          static_cast<double>(pred) * kAdmissionHeadroom;
+      if (done_at > static_cast<double>(qr.deadline_abs_ns)) {
         record_terminal(qr, ServeOutcome::kShed,
                         ServeReason::kShedPredictedWait, "", 0);
       } else {
@@ -350,11 +360,7 @@ void WallClockServer::run_batch_with_recovery(
     }
     const uint64_t now = now_ns();
     const uint64_t budget_ns = min_deadline > now ? min_deadline - now : 0;
-    slo.deadline_cycles =
-        ns_per_cycle_ > 0.0
-            ? static_cast<uint64_t>(static_cast<double>(budget_ns) /
-                                    ns_per_cycle_)
-            : UINT64_MAX;
+    slo.deadline_cycles = ns_to_cycles(budget_ns, ns_per_cycle_);
     slo.max_batch = n;
     inflight_pred_ns_ += pred;
   }

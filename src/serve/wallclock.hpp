@@ -2,10 +2,10 @@
 // WallClockServer — the serving runtime on real time, real threads, and
 // real failures.
 //
-// Where Server replays a deterministic modeled-cycle timeline, this mode
-// is a server: submit() is called from any thread at actual wall times,
-// deadlines are steady-clock nanoseconds, and batches execute on the
-// host kernels through per-executor Dispatchers. Determinism moves
+// Where serve_trace replays a deterministic modeled-cycle timeline, this
+// mode is a server: submit() is called from any thread at actual wall
+// times, deadlines are steady-clock nanoseconds, and batches execute on
+// the host kernels through per-executor Dispatchers. Determinism moves
 // down a level — each served output is still bit-exact with a sequential
 // ExecutionEngine::run, but WHICH requests complete (vs shed/reject)
 // depends on real machine speed, which is the point.
@@ -41,10 +41,11 @@
 //     quarantines its plan fingerprints in the PlanStore (references stay
 //     valid; next use compiles fresh, bypassing the registry) and the
 //     batch gets one post-quarantine attempt on the fresh plans.
-//  4. brown-out: queue depth beyond brownout_depth degrades service
-//     rather than latency — level 1 halves the batch, level 2 quarters
-//     it, level 3 additionally sheds every queued request that could not
-//     finish even if started immediately.
+//  4. brown-out: a queue of 4 x max_batch requests or more degrades
+//     service rather than latency — level 1 halves the batch, level 2
+//     (twice that depth) quarters it, level 3 (three times) additionally
+//     sheds every queued request that could not finish even if started
+//     immediately.
 //
 // Every terminal outcome is typed (ServeOutcome + ServeReason); nothing
 // is silently dropped, nothing blocks forever. Metrics live under
@@ -71,13 +72,10 @@ namespace decimate {
 struct WallClockConfig {
   /// Default per-request SLO, relative to arrival (WallRequest overrides).
   uint64_t deadline_ns = 50'000'000;
-  /// Requests co-dispatched per batch at brown-out level 0.
+  /// Requests co-dispatched per batch at brown-out level 0; also sets
+  /// the brown-out depths (4x, 8x, 12x max_batch queued requests).
   int max_batch = 4;
   AdmissionPolicy admission;
-  /// Executor threads (>= 1). One is enough for throughput (a dispatch
-  /// already fans out over the worker pool); the second keeps serving
-  /// while an abandoned straggler finishes dying.
-  int executors = 2;
 
   // -- fault tolerance --
   /// Full-batch dispatch attempts after the first failure.
@@ -90,23 +88,23 @@ struct WallClockConfig {
   uint64_t watchdog_floor_ns = 2'000'000;
   /// Consecutive failed batches (per model) before plan quarantine.
   int quarantine_after = 3;
-
-  // -- brown-out --
-  bool brownout = true;
-  /// Queue depth entering level 1 (2x -> level 2, 3x -> level 3).
-  /// 0 = auto: 4 x max_batch.
-  size_t brownout_depth = 0;
 };
 
 /// How a request's story ended.
 enum class ServeOutcome : uint8_t {
   kOk = 0,
-  kRejected,  // refused at submit() (admission control / full queue)
+  kRejected,  // refused at submit() by admission control
   kShed,      // admitted, then load-shed before execution
   kFailed,    // executed but kept failing after the whole recovery ladder
 };
 
 const char* to_string(ServeOutcome outcome);
+
+/// The modeled cycles a wall budget of `budget_ns` buys at `ns_per_cycle`
+/// — how a batch's remaining deadline reaches the Dispatcher. UINT64_MAX
+/// (no deadline) when uncalibrated (ns_per_cycle <= 0) or when the cycles
+/// exceed the uint64 range.
+uint64_t ns_to_cycles(uint64_t budget_ns, double ns_per_cycle);
 
 /// Per-request wall-clock serving report. Times are steady-clock ns on
 /// the server's epoch (now_ns()).

@@ -48,7 +48,7 @@ namespace decimate::trace {
 
 /// Stable span categories — one per runtime layer ("cat" in the JSON).
 enum class Cat : uint8_t {
-  kServe,     // Server: request lifecycle, serve loop
+  kServe,     // serve_trace / WallClockServer: request lifecycle, serve loop
   kBatcher,   // Batcher: flush decisions
   kDispatch,  // Dispatcher: mode choice, chunking
   kExec,      // ExecutionEngine: run / run_batch

@@ -1,7 +1,11 @@
-# Runs BIN and fails unless its stdout equals the GOLDEN file byte for byte.
+# Runs BIN (with the space-separated ARGS, if given) and fails unless its
+# stdout equals the GOLDEN file byte for byte.
 #
-#   cmake -DBIN=<binary> -DGOLDEN=<expected stdout> -P compare.cmake
-execute_process(COMMAND ${BIN} OUTPUT_VARIABLE actual RESULT_VARIABLE rc)
+#   cmake -DBIN=<binary> [-DARGS=<args>] -DGOLDEN=<expected stdout>
+#         -P compare.cmake
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${BIN} ${args} OUTPUT_VARIABLE actual
+                RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BIN} exited with ${rc}")
 endif()

@@ -1,5 +1,6 @@
 // Serving-runtime tests: SLO-aware batch formation on the virtual cycle
-// timeline (straggler deadline flush, full-batch flush, drain), the
+// timeline (straggler deadline flush, full-batch flush, drain, rejection
+// of a trace whose arrivals decrease), the
 // Dispatcher's mode selection boundaries (loose SLO -> batch-fused, tight
 // SLO -> sharded single-image, mid SLO over a deep burst ->
 // data-parallel) with stats that report exactly the modeled placement
@@ -13,13 +14,12 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 
 #include "compiler/fingerprint.hpp"
 #include "exec/compile.hpp"
 #include "exec/engine.hpp"
 #include "models/models.hpp"
-#include "serve/server.hpp"
+#include "serve/dispatcher.hpp"
 #include "trace/metrics.hpp"
 
 namespace decimate {
@@ -49,8 +49,7 @@ std::shared_ptr<TileLatencyCache> shared_test_cache() {
   return cache;
 }
 
-/// Serving fixture: one PlanStore + Dispatcher shared per test, a fresh
-/// Server per trace.
+/// Serving fixture: one PlanStore + Dispatcher shared per test.
 struct Harness {
   explicit Harness(int num_clusters, std::vector<int> fused = {1, 2, 4})
       : store(isa_options(), shared_test_cache()),
@@ -63,10 +62,7 @@ struct Harness {
   }
 
   std::vector<Served> serve(const SloConfig& slo, std::vector<Request> trace) {
-    Server server(dispatcher, slo);
-    for (Request& r : trace) server.submit(std::move(r));
-    server.close();
-    return server.serve();
+    return serve_trace(dispatcher, slo, std::move(trace));
   }
 
   /// Every served output must match a sequential single-cluster run of
@@ -146,10 +142,19 @@ TEST(Serve, EmptyQueueDrainReturnsNothing) {
   Harness h(1);
   const Graph g = small_ffn();
   h.add(g);
-  Server server(h.dispatcher, SloConfig{100, 1000, 4});
-  server.close();
-  EXPECT_TRUE(server.serve().empty());
-  EXPECT_EQ(server.batches_dispatched(), 0);
+  EXPECT_TRUE(h.serve(SloConfig{100, 1000, 4}, {}).empty());
+}
+
+TEST(Serve, DecreasingArrivalsAreRejected) {
+  Harness h(1);
+  const Graph g = small_ffn();
+  const int m = h.add(g);
+  // max_batch 1: the first request is served before the second is seen,
+  // so the check must span batches, not only the forming one
+  std::vector<Request> trace = burst(m, input_shape(g), 1, 500, 69);
+  auto earlier = burst(m, input_shape(g), 1, 499, 70, 1);
+  trace.push_back(std::move(earlier[0]));
+  EXPECT_THROW(h.serve(SloConfig{0, UINT64_MAX, 1}, std::move(trace)), Error);
 }
 
 TEST(Serve, StragglerIsFlushedAtTheSloDeadline) {
@@ -179,7 +184,7 @@ TEST(Serve, StragglerIsFlushedAtTheSloDeadline) {
       << "a partial batch must flush exactly when the oldest request has "
          "waited max_wait_cycles";
   EXPECT_EQ(straggler.queue_wait_cycles(), max_wait);
-  // the late request finds an idle engine and a closed stream: no wait
+  // the late request finds an idle engine and an exhausted trace: no wait
   EXPECT_EQ(served[1].stats.dispatch_cycles, late);
   EXPECT_EQ(served[1].stats.queue_wait_cycles(), 0u);
   h.expect_bit_exact(served, trace);
@@ -264,45 +269,6 @@ TEST(Serve, MixedModelStreamsFormPerModelBatches) {
         << "each model's pair must batch together, never across models";
   }
   h.expect_bit_exact(served, trace);
-}
-
-TEST(Serve, SubmissionThreadTimingDoesNotChangeServingDecisions) {
-  // The same trace submitted (a) inline before serve() and (b) from a
-  // producer thread racing the serving loop must produce identical
-  // batches, modes, and stats: decisions depend on arrival cycles only.
-  const Graph g = small_ffn();
-  SloConfig slo;
-  slo.max_wait_cycles = 1000;
-  slo.deadline_cycles = UINT64_MAX;
-  slo.max_batch = 2;
-
-  Harness h(1);
-  const int m = h.add(g);
-  const auto trace = burst(m, input_shape(g), 6, 0, 56);
-
-  const auto inline_served = h.serve(slo, trace);
-
-  Server threaded(h.dispatcher, slo);
-  std::thread producer([&] {
-    for (const Request& r : trace) {
-      threaded.submit(Request{r.id, r.model, r.arrival_cycles, r.input});
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    threaded.close();
-  });
-  const auto threaded_served = threaded.serve();
-  producer.join();
-
-  ASSERT_EQ(inline_served.size(), threaded_served.size());
-  for (size_t i = 0; i < inline_served.size(); ++i) {
-    EXPECT_EQ(inline_served[i].stats.id, threaded_served[i].stats.id);
-    EXPECT_EQ(inline_served[i].stats.mode, threaded_served[i].stats.mode);
-    EXPECT_EQ(inline_served[i].stats.dispatch_cycles,
-              threaded_served[i].stats.dispatch_cycles);
-    EXPECT_EQ(inline_served[i].stats.completion_cycles,
-              threaded_served[i].stats.completion_cycles);
-    EXPECT_TRUE(inline_served[i].output == threaded_served[i].output);
-  }
 }
 
 // --- mode selection ----------------------------------------------------------
@@ -573,18 +539,16 @@ TEST(Serve, ChunkFallbackIsCountedAndOnlyWhenItFires) {
 
 // --- batcher unit behavior ---------------------------------------------------
 
-TEST(Serve, BatcherIsUndecidableWithoutFutureKnowledge) {
+TEST(Serve, BatcherIsUndecidableWhileTheNextArrivalMayJoin) {
   Batcher batcher(SloConfig{100, UINT64_MAX, 4});
-  EXPECT_FALSE(batcher.try_form(0, std::nullopt, false).has_value());
+  EXPECT_FALSE(batcher.try_form(0, std::nullopt).has_value());
 
   Rng rng(62);
   batcher.admit(Request{0, 0, 10, Tensor8::random({1, 4}, rng)});
-  // open stream, nothing known about the future: wait
-  EXPECT_FALSE(batcher.try_form(0, std::nullopt, false).has_value());
   // a next arrival inside the admission window: admit it first
-  EXPECT_FALSE(batcher.try_form(0, 50, false).has_value());
+  EXPECT_FALSE(batcher.try_form(0, 50).has_value());
   // a next arrival beyond the window: deadline flush at arrival + wait
-  const auto flushed = batcher.try_form(0, 500, false);
+  const auto flushed = batcher.try_form(0, 500);
   ASSERT_TRUE(flushed.has_value());
   EXPECT_EQ(flushed->reason, FlushReason::kDeadline);
   EXPECT_EQ(flushed->dispatch_cycles, 110u);
@@ -602,15 +566,16 @@ TEST(Serve, FullBatchIsNotBlockedByAnOlderFormingBatch) {
   for (uint64_t i = 0; i < 4; ++i) {
     batcher.admit(Request{1 + i, 9, 10 + i, Tensor8::random({1, 4}, rng)});
   }
-  const auto full = batcher.try_form(0, std::nullopt, false);
+  // the next arrival (20) lies inside model 7's admission window
+  const auto full = batcher.try_form(0, 20);
   ASSERT_TRUE(full.has_value());
   EXPECT_EQ(full->model, 9);
   EXPECT_EQ(full->reason, FlushReason::kFull);
   EXPECT_EQ(full->requests.size(), 4u);
   EXPECT_EQ(full->dispatch_cycles, 13u);
-  // the straggler is still pending and still undecidable on its own
+  // the straggler is still pending and still waits for that arrival
   EXPECT_EQ(batcher.pending(), 1u);
-  EXPECT_FALSE(batcher.try_form(0, std::nullopt, false).has_value());
+  EXPECT_FALSE(batcher.try_form(0, 20).has_value());
 }
 
 TEST(Serve, InfiniteMaxWaitNeverFlushesEarly) {
@@ -619,9 +584,9 @@ TEST(Serve, InfiniteMaxWaitNeverFlushesEarly) {
   Batcher batcher(SloConfig{UINT64_MAX, UINT64_MAX, 4});
   Rng rng(65);
   batcher.admit(Request{0, 0, 1000, Tensor8::random({1, 4}, rng)});
-  EXPECT_FALSE(batcher.try_form(0, 1'000'000'000, false).has_value())
+  EXPECT_FALSE(batcher.try_form(0, 1'000'000'000).has_value())
       << "any future arrival lies inside a saturated admission window";
-  const auto drained = batcher.try_form(0, std::nullopt, true);
+  const auto drained = batcher.try_form(0, std::nullopt);
   ASSERT_TRUE(drained.has_value());
   EXPECT_EQ(drained->reason, FlushReason::kDrain);
 }
@@ -632,10 +597,10 @@ TEST(Serve, BatcherExtendsAdmissionWhileEngineIsBusy) {
   Batcher batcher(SloConfig{100, UINT64_MAX, 4});
   Rng rng(63);
   batcher.admit(Request{0, 0, 10, Tensor8::random({1, 4}, rng)});
-  EXPECT_FALSE(batcher.try_form(1000, 600, false).has_value())
+  EXPECT_FALSE(batcher.try_form(1000, 600).has_value())
       << "an arrival inside max(deadline, free_at) must be admitted first";
   batcher.admit(Request{1, 0, 600, Tensor8::random({1, 4}, rng)});
-  const auto flushed = batcher.try_form(1000, 2000, false);
+  const auto flushed = batcher.try_form(1000, 2000);
   ASSERT_TRUE(flushed.has_value());
   EXPECT_EQ(flushed->requests.size(), 2u);
   EXPECT_EQ(flushed->dispatch_cycles, 1000u);

@@ -1,10 +1,10 @@
 // Wall-clock serving tests: the FaultInjector's deterministic schedules,
 // EDF queue ordering and shed-victim selection, the pure admission
-// decision, and the WallClockServer end to end — a 4-thread bit-exact
-// smoke (the TSan target), prediction error against the pre-dispatch
-// prediction, reject-at-admission, shed-under-burst, queue-full
-// rejection with shedding off, and every rung of the
-// fault-tolerance ladder under seeded injection: retry-then-succeed,
+// decision, the ns -> cycle budget translation, and the WallClockServer
+// end to end — a 4-thread bit-exact smoke (the TSan target), prediction
+// error against the pre-dispatch prediction, reject-at-admission, a
+// deadline too long for the clock, shed-under-burst, and every rung of
+// the fault-tolerance ladder under seeded injection: retry-then-succeed,
 // watchdog-timeout-then-per-image-redispatch, quarantine-after-N
 // consecutive failures, corrupt-artifact fallback to a fresh compile,
 // and brown-out batch shrinking under a deep queue.
@@ -234,35 +234,34 @@ TEST(EdfQueue, ShedVictimPrefersLatestDeadline) {
 }
 
 TEST(Admission, DecisionBoundaries) {
-  AdmissionPolicy p;
-  p.max_queue_depth = 4;
-  p.headroom = 1.0;  // exact arithmetic at the boundary
+  ASSERT_EQ(kAdmissionHeadroom, 1.25);
+  // backlog 200 + prediction 200, scaled by the headroom, needs 500 ns:
+  // admitted with exactly that much left to the deadline
+  EXPECT_EQ(admission_decision(1000, 1000 + 500, 200, 200),
+            ServeReason::kNone);
+  // one ns less rejects
+  EXPECT_EQ(admission_decision(1000, 1000 + 499, 200, 200),
+            ServeReason::kAdmissionInfeasible);
+  // the backlog counts like the request's own service time
+  EXPECT_EQ(admission_decision(1000, 1000 + 500, 400, 0), ServeReason::kNone);
+  EXPECT_EQ(admission_decision(1000, 1000 + 499, 0, 400),
+            ServeReason::kAdmissionInfeasible);
+  // a deadline already behind the clock rejects even free work
+  EXPECT_EQ(admission_decision(1000, 999, 0, 0),
+            ServeReason::kAdmissionInfeasible);
+}
 
-  // feasible: now + backlog + pred == deadline admits
-  EXPECT_EQ(admission_decision(p, 1000, 1000 + 300, 100, 200, 0),
-            ServeReason::kNone);
-  // one ns past the deadline rejects
-  EXPECT_EQ(admission_decision(p, 1000, 1000 + 299, 100, 200, 0),
-            ServeReason::kAdmissionInfeasible);
-  // headroom scales the predicted work before the comparison
-  p.headroom = 2.0;
-  EXPECT_EQ(admission_decision(p, 1000, 1000 + 599, 100, 200, 0),
-            ServeReason::kAdmissionInfeasible);
-  EXPECT_EQ(admission_decision(p, 1000, 1000 + 600, 100, 200, 0),
-            ServeReason::kNone);
-  // admission control off admits the doomed
-  p.admission_control = false;
-  EXPECT_EQ(admission_decision(p, 1000, 1000, 100, 200, 0),
-            ServeReason::kNone);
-  // a full queue rejects only when shedding is off (otherwise the EDF
-  // queue evicts a victim instead)
-  EXPECT_EQ(admission_decision(p, 0, kHugeDeadlineNs, 1, 0, 4),
-            ServeReason::kNone);
-  p.shedding = false;
-  EXPECT_EQ(admission_decision(p, 0, kHugeDeadlineNs, 1, 0, 4),
-            ServeReason::kQueueFull);
-  EXPECT_EQ(admission_decision(p, 0, kHugeDeadlineNs, 1, 0, 3),
-            ServeReason::kNone);
+TEST(WallClock, CycleBudgetClampsBeyondTheCycleRange) {
+  EXPECT_EQ(ns_to_cycles(1000, 0.25), 4000u);
+  EXPECT_EQ(ns_to_cycles(0, 0.25), 0u);
+  // uncalibrated: no cycle deadline at all
+  EXPECT_EQ(ns_to_cycles(1000, 0.0), UINT64_MAX);
+  // 2^63 ns at 0.25 ns/cycle is 2^65 cycles: beyond uint64, so the
+  // budget clamps to "no deadline" instead of wrapping to a tight one
+  EXPECT_EQ(ns_to_cycles(uint64_t{1} << 63, 0.25), UINT64_MAX);
+  EXPECT_EQ(ns_to_cycles(UINT64_MAX, 0.25), UINT64_MAX);
+  // just inside the range still converts
+  EXPECT_EQ(ns_to_cycles(uint64_t{1} << 62, 0.5), uint64_t{1} << 63);
 }
 
 // --- WallClockServer: happy path --------------------------------------------
@@ -276,7 +275,6 @@ TEST(WallClock, ServesConcurrentSubmittersBitExact) {
 
   WallClockConfig cfg;
   cfg.max_batch = 4;
-  cfg.executors = 2;
   WallClockServer server(store, DispatchConfig{1, {1, 2, 4}}, cfg);
   server.warm(m);
   EXPECT_GT(server.ns_per_cycle(), 0.0);
@@ -389,6 +387,41 @@ TEST(WallClock, RejectsAtAdmissionWhenDeadlineIsInfeasible) {
   EXPECT_EQ(by_id[1]->outcome, ServeOutcome::kOk);
 }
 
+TEST(WallClock, VeryLongDeadlinesAreServedAsLoose) {
+  // UINT64_MAX is "no deadline" (SloConfig::deadline_cycles' default)
+  // and 2^63 ns outlasts any run: both must be admitted and modeled like
+  // any loose deadline (batch-fused, never the lowest-latency sharded
+  // placement), however fast this host calibrates its ns/cycle
+  PlanStore store(isa_options(), shared_test_cache());
+  const Graph g = small_ffn();
+  const int m = store.add_model(g);
+
+  WallClockConfig cfg;
+  cfg.max_batch = 1;
+  WallClockServer server(store, DispatchConfig{4, {1}}, cfg);
+  server.warm(m);
+
+  Rng rng(5);
+  server.submit(
+      request(0, m, Tensor8::random(input_shape(g), rng), UINT64_MAX));
+  server.submit(request(1, m, Tensor8::random(input_shape(g), rng),
+                        uint64_t{1} << 63));
+  server.close();
+  const auto done = server.serve();
+
+  ASSERT_EQ(done.size(), 2u);
+  std::map<uint64_t, const WallServed*> by_id;
+  for (const WallServed& w : done) {
+    ASSERT_EQ(w.outcome, ServeOutcome::kOk)
+        << "request " << w.id << ": " << to_string(w.reason);
+    EXPECT_TRUE(w.deadline_hit);
+    EXPECT_EQ(w.mode, ServeMode::kBatchFused) << "request " << w.id;
+    by_id[w.id] = &w;
+  }
+  // the absolute deadline saturates instead of wrapping behind arrival
+  EXPECT_EQ(by_id[0]->deadline_abs_ns, UINT64_MAX);
+}
+
 TEST(WallClock, ShedsLowestValueUnderBurst) {
   PlanStore store(isa_options(), shared_test_cache());
   const Graph g = small_ffn();
@@ -397,8 +430,6 @@ TEST(WallClock, ShedsLowestValueUnderBurst) {
   WallClockConfig cfg;
   cfg.max_batch = 4;
   cfg.admission.max_queue_depth = 4;
-  cfg.admission.admission_control = false;  // isolate depth shedding
-  cfg.brownout = false;
   WallClockServer server(store, DispatchConfig{1, {1, 2, 4}}, cfg);
   server.warm(m);
 
@@ -431,8 +462,6 @@ TEST(WallClock, HighValueArrivalDisplacesLowValueWaiter) {
   WallClockConfig cfg;
   cfg.max_batch = 1;
   cfg.admission.max_queue_depth = 1;
-  cfg.admission.admission_control = false;
-  cfg.brownout = false;
   WallClockServer server(store, DispatchConfig{1, {1}}, cfg);
   server.warm(m);
 
@@ -449,40 +478,6 @@ TEST(WallClock, HighValueArrivalDisplacesLowValueWaiter) {
   for (const WallServed& w : done) by_id[w.id] = &w;
   EXPECT_EQ(by_id[0]->outcome, ServeOutcome::kShed);  // low value evicted
   EXPECT_EQ(by_id[1]->outcome, ServeOutcome::kOk);
-}
-
-TEST(WallClock, QueueFullRejectsWhenSheddingDisabled) {
-  PlanStore store(isa_options(), shared_test_cache());
-  const Graph g = small_ffn();
-  const int m = store.add_model(g);
-
-  WallClockConfig cfg;
-  cfg.max_batch = 2;
-  cfg.admission.max_queue_depth = 2;
-  cfg.admission.shedding = false;
-  cfg.admission.admission_control = false;
-  cfg.brownout = false;
-  WallClockServer server(store, DispatchConfig{1, {1, 2}}, cfg);
-  server.warm(m);
-
-  Rng rng(13);
-  for (int i = 0; i < 5; ++i) {
-    server.submit(
-        request(static_cast<uint64_t>(i), m,
-                Tensor8::random(input_shape(g), rng)));
-  }
-  server.close();
-  const auto done = server.serve();
-
-  ASSERT_EQ(done.size(), 5u);
-  const auto counts = outcome_counts(done);
-  EXPECT_EQ(counts.at(ServeOutcome::kRejected), 3);
-  EXPECT_EQ(counts.at(ServeOutcome::kOk), 2);
-  for (const WallServed& w : done) {
-    if (w.outcome == ServeOutcome::kRejected) {
-      EXPECT_EQ(w.reason, ServeReason::kQueueFull);
-    }
-  }
 }
 
 // --- WallClockServer: fault-tolerance ladder --------------------------------
@@ -505,6 +500,7 @@ TEST(WallClock, RetriesTransientDispatchFaultThenSucceeds) {
   cfg.max_batch = 1;
   cfg.max_retries = 2;
   cfg.retry_backoff_ns = 100'000;
+  cfg.watchdog_floor_ns = 30'000'000'000;  // a slow host must not redispatch
   WallClockServer server(store, DispatchConfig{1, {1}}, cfg);
   server.warm(m);
 
@@ -540,6 +536,7 @@ TEST(WallClock, ExhaustedRetriesFailWithTypedWorkerFault) {
   cfg.max_retries = 1;
   cfg.retry_backoff_ns = 50'000;
   cfg.quarantine_after = 100;  // keep quarantine out of this test
+  cfg.watchdog_floor_ns = 30'000'000'000;  // a slow host must not redispatch
   WallClockServer server(store, DispatchConfig{1, {1}}, cfg);
   server.warm(m);
 
@@ -574,7 +571,6 @@ TEST(WallClock, WatchdogTimeoutRecoversViaPerImageRedispatch) {
 
   WallClockConfig cfg;
   cfg.max_batch = 2;
-  cfg.executors = 2;  // the second executor keeps the pipeline alive
   cfg.watchdog_floor_ns = 5'000'000;  // abandon after ~5 ms
   cfg.watchdog_factor = 1.0;
   WallClockServer server(store, DispatchConfig{1, {1, 2}}, cfg);
@@ -634,6 +630,7 @@ TEST(WallClock, QuarantinesPlansAfterConsecutiveFailures) {
   cfg.max_batch = 1;
   cfg.max_retries = 0;       // every failure is terminal for its batch
   cfg.quarantine_after = 2;  // the second consecutive failure quarantines
+  cfg.watchdog_floor_ns = 30'000'000'000;  // a slow host must not redispatch
   WallClockServer server(store, DispatchConfig{1, {1}}, cfg);
   server.warm(m);
   const int compiles_after_warm = store.compiles();
@@ -707,19 +704,17 @@ TEST(WallClock, BrownOutShrinksBatchesUnderDeepQueue) {
   const Graph g = small_ffn();
   const int m = store.add_model(g);
 
+  // brown-out starts at 4 x max_batch = 8 queued requests; below that,
+  // pairs dispatch
   WallClockConfig cfg;
-  cfg.max_batch = 4;
-  cfg.brownout = true;
-  cfg.brownout_depth = 2;  // depth 2 -> level 1, 4 -> level 2, 6 -> level 3
-  cfg.admission.admission_control = false;
-  cfg.admission.max_queue_depth = 64;
-  WallClockServer server(store, DispatchConfig{1, {1, 2, 4}}, cfg);
+  cfg.max_batch = 2;
+  WallClockServer server(store, DispatchConfig{1, {1, 2}}, cfg);
   server.warm(m);
 
   const uint64_t transitions_before =
       metrics::registry().counter("serve.wall.brownout_transitions").value();
   Rng rng(47);
-  constexpr int kBurst = 8;
+  constexpr int kBurst = 24;
   for (int i = 0; i < kBurst; ++i) {
     server.submit(
         request(static_cast<uint64_t>(i), m,
@@ -729,12 +724,20 @@ TEST(WallClock, BrownOutShrinksBatchesUnderDeepQueue) {
   const auto done = server.serve();
 
   ASSERT_EQ(done.size(), static_cast<size_t>(kBurst));
+  // members of one batch share its dispatch stamp
+  std::map<uint64_t, int> batch_sizes;  // dispatch_ns -> members
   for (const WallServed& w : done) {
     // huge deadlines: brown-out degrades batching, never correctness
     EXPECT_EQ(w.outcome, ServeOutcome::kOk) << "request " << w.id;
-    EXPECT_LE(w.group_size, 2)
-        << "deep-queue dispatches must use brown-out-shrunk batches";
+    ++batch_sizes[w.dispatch_ns];
   }
+  std::vector<int> sizes;
+  for (const auto& [at, n] : batch_sizes) sizes.push_back(n);
+  // depths 24 down to 8 dispatch single images (17 batches); the last 7
+  // requests go out in pairs
+  std::vector<int> expect(17, 1);
+  expect.insert(expect.end(), {2, 2, 2, 1});
+  EXPECT_EQ(sizes, expect);
   EXPECT_GT(
       metrics::registry().counter("serve.wall.brownout_transitions").value(),
       transitions_before);
