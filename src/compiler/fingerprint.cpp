@@ -2,6 +2,8 @@
 
 #include <span>
 
+#include "trace/metrics.hpp"
+
 namespace decimate {
 
 namespace {
@@ -38,6 +40,11 @@ struct Fnv {
 }  // namespace
 
 uint64_t graph_fingerprint(const Graph& graph) {
+  // O(parameter bytes): counted so the serving path can prove it never
+  // pays this after warm-up
+  static metrics::Counter& scans =
+      metrics::registry().counter("compiler.graph_fingerprints");
+  scans.inc();
   Fnv f;
   f.i32(graph.size());
   for (const Node& node : graph.nodes()) {

@@ -25,6 +25,8 @@ namespace decimate {
 /// requant constants, and all parameter tensors (weights/bias/LUTs/...).
 /// Carries no compile options — combine with options_fingerprint (or use
 /// plan_fingerprint) whenever plans under different options share a cache.
+/// A pass over every parameter byte; each call bumps the always-on
+/// compiler.graph_fingerprints counter.
 uint64_t graph_fingerprint(const Graph& graph);
 
 /// Fingerprint of every compile option that shapes a plan: kernel

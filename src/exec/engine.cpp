@@ -28,6 +28,10 @@ BatchMismatchError::BatchMismatchError(int fused_batch, int got)
       fused_batch_(fused_batch),
       got_(got) {}
 
+int ExecutionEngine::hardware_threads() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 std::shared_ptr<WorkerPool> ExecutionEngine::worker_pool(int target) {
   // the caller thread participates in every job, so a pool of N-1
   // threads gives N-way parallelism. The pool is sized to the engine's
@@ -56,18 +60,14 @@ Cluster& ExecutionEngine::verify_cluster(const CompileOptions& opt) {
 void ExecutionEngine::exec_gemm_node(const CompiledPlan& plan,
                                      const PlanStep& step, const Node& node,
                                      const Tensor8& in,
-                                     const Tensor8* b_operand, Tensor8& out) {
+                                     const Tensor8* b_operand, int parts,
+                                     Tensor8& out) {
   // numerics: host kernels (sparse N:M gather / blocked dense) or the
   // scalar reference ops — bit-identical either way. Large steps split
-  // their output across the worker pool (intra-image parallelism) unless
-  // this call already runs inside a pool task (run_batch image pipeline:
-  // the split would execute inline anyway, so skip the pool round-trip)
-  // or verify mode needs the serial path.
-  const int want =
-      intra_threads_ >= 0 ? intra_threads_ : plan.options.host_threads;
-  const int parts = want == 0
-      ? std::max(1, static_cast<int>(std::thread::hardware_concurrency()))
-      : want;
+  // their output `parts` ways across the worker pool (intra-image
+  // parallelism) unless this call already runs inside a pool task
+  // (run_batch image pipeline: the split would execute inline anyway, so
+  // skip the pool round-trip) or verify mode needs the serial path.
   if (use_host_kernels_ && !verify_with_sim_ && !WorkerPool::in_task() &&
       parts > 1 && step.report.macs >= intra_mac_floor_) {
     exec_gemm_node_host_parallel(step, node, in, b_operand,
@@ -111,6 +111,13 @@ void ExecutionEngine::exec_gemm_node(const CompiledPlan& plan,
 
 NetworkRun ExecutionEngine::run(const CompiledPlan& plan,
                                 const Tensor8& input) {
+  const int want =
+      intra_threads_ >= 0 ? intra_threads_ : plan.options.host_threads;
+  return run_split(plan, input, want == 0 ? hardware_threads() : want);
+}
+
+NetworkRun ExecutionEngine::run_split(const CompiledPlan& plan,
+                                      const Tensor8& input, int parts) {
   DECIMATE_CHECK(plan.graph != nullptr, "plan has no graph");
   const Graph& graph = *plan.graph;
   DECIMATE_CHECK(static_cast<int>(plan.steps.size()) == graph.size() - 1,
@@ -146,11 +153,12 @@ NetworkRun ExecutionEngine::run(const CompiledPlan& plan,
     switch (node.op) {
       case OpType::kConv2d:
       case OpType::kFc:
-        exec_gemm_node(plan, step, node, in0, nullptr, out);
+        exec_gemm_node(plan, step, node, in0, nullptr, parts, out);
         break;
       case OpType::kMatmul:
         exec_gemm_node(plan, step, node, in0,
-                       values[static_cast<size_t>(node.inputs.at(1))], out);
+                       values[static_cast<size_t>(node.inputs.at(1))], parts,
+                       out);
         break;
       default: {
         std::vector<const Tensor8*> ins;
@@ -241,14 +249,16 @@ BatchRun ExecutionEngine::run_batch(const CompiledPlan& plan,
   }
   out.runs.resize(static_cast<size_t>(n));
 
-  const int target = std::max(
-      1, workers_ > 0
-             ? workers_
-             : static_cast<int>(std::thread::hardware_concurrency()));
-  int workers = std::min(target, std::max(1, n));
-  if (verify_with_sim_) workers = 1;  // the verify cluster is shared state
+  const int target = std::max(1, workers_ > 0 ? workers_ : hardware_threads());
+  // the verify cluster is shared state: verify mode runs serially
+  const int workers = verify_with_sim_ ? 1 : target;
 
-  if (workers == 1) {
+  if (n == 1) {
+    // one image would leave every worker but the caller idle: split its
+    // gemm steps over the same pool instead (the intra-image path, so
+    // the bytes match a serial run at any width)
+    out.runs[0] = run_split(plan, inputs[0], workers);
+  } else if (workers == 1) {
     for (int i = 0; i < n; ++i) out.runs[static_cast<size_t>(i)] =
         run(plan, inputs[static_cast<size_t>(i)]);
   } else {

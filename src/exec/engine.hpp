@@ -13,7 +13,9 @@
 // steps concurrently on a worker pool (layer i+1 of image n overlaps
 // layer i of image n+1), and the BatchRun cycle model merges the
 // per-step tile streams across images so DMA ramp-in/out overlaps
-// instead of summing independent per-image totals.
+// instead of summing independent per-image totals. A one-image batch
+// has no second image to overlap, so it splits its gemm steps over the
+// same pool instead (the intra-image path).
 
 #include <memory>
 #include <mutex>
@@ -78,8 +80,11 @@ class ExecutionEngine {
   NetworkRun run(const CompiledPlan& plan, const Tensor8& input);
 
   /// Execute the plan over a batch of independent inputs on a worker
-  /// pool; outputs are bit-exact with per-image run() calls. A batch-fused
-  /// plan (options.batch > 1) only serves spans of exactly that size —
+  /// pool; outputs are bit-exact with per-image run() calls. Two or more
+  /// images run one pool task each; a single image runs its gemm steps
+  /// split set_workers ways over the same pool (steps below the
+  /// intra-image MAC floor stay serial). A batch-fused plan
+  /// (options.batch > 1) only serves spans of exactly that size —
   /// anything else throws rather than stamping mismatched cycle reports.
   /// Concurrent run_batch calls on one engine are safe but serialize on
   /// the shared per-engine pool (jobs never interleave); callers that
@@ -87,25 +92,27 @@ class ExecutionEngine {
   BatchRun run_batch(const CompiledPlan& plan,
                      std::span<const Tensor8> inputs);
 
-  /// Worker threads for run_batch. 0 (default) = min(batch size,
-  /// hardware concurrency). Verify mode always runs single-threaded
-  /// (the verify cluster is shared state). Threads live in a lazily-
-  /// created per-engine WorkerPool reused across batches — a serving
-  /// loop pays thread spawn once, not per formed batch.
+  /// Threads for run_batch, whatever the batch size: image tasks for a
+  /// batch of two or more, the split width of a one-image batch. 0
+  /// (default) = hardware concurrency. Verify mode always runs
+  /// single-threaded (the verify cluster is shared state). Threads live
+  /// in a lazily-created per-engine WorkerPool reused across batches — a
+  /// serving loop pays thread spawn once, not per formed batch.
   void set_workers(int n) { workers_ = n; }
 
-  /// Intra-image parallelism: threads used to split a single image's
-  /// gemm steps across the worker pool (conv output rows / FC tokens or
-  /// channels via the ranged host ops — bit-exact stitching). -1
-  /// (default) follows the plan's CompileOptions::host_threads; 0 =
+  /// Intra-image parallelism of run(): threads used to split a single
+  /// image's gemm steps across the worker pool (conv output rows / FC
+  /// tokens or channels via the ranged host ops — bit-exact stitching).
+  /// -1 (default) follows the plan's CompileOptions::host_threads; 0 =
   /// hardware concurrency; 1 = serial. Splits nested inside run_batch's
   /// image tasks execute inline (WorkerPool nesting guard), so batch- and
   /// intra-image parallelism compose without oversubscription. Verify
   /// mode always runs serial.
   void set_intra_image_threads(int n) { intra_threads_ = n; }
 
-  /// Minimum step.report.macs for an intra-image split — tiny layers stay
-  /// serial (fork/join overhead would beat the win). Default 1M MACs.
+  /// Minimum step.report.macs for an intra-image split (run() and a
+  /// one-image run_batch) — tiny layers stay serial (fork/join overhead
+  /// would beat the win). Default 1M MACs.
   void set_intra_mac_floor(int64_t macs) { intra_mac_floor_ = macs; }
 
   /// Route gemm numerics through the plan's HostKernelDispatch (sparse
@@ -127,9 +134,13 @@ class ExecutionEngine {
   static uint64_t modeled_batch_cycles(const CompiledPlan& plan, int n);
 
  private:
+  /// run() with an explicit split width for the gemm steps.
+  NetworkRun run_split(const CompiledPlan& plan, const Tensor8& input,
+                       int parts);
   void exec_gemm_node(const CompiledPlan& plan, const PlanStep& step,
                       const Node& node, const Tensor8& in,
-                      const Tensor8* b_operand, Tensor8& out);
+                      const Tensor8* b_operand, int parts, Tensor8& out);
+  static int hardware_threads();
   Cluster& verify_cluster(const CompileOptions& opt);
   std::shared_ptr<WorkerPool> worker_pool(int target);
 

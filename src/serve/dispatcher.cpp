@@ -1,6 +1,7 @@
 #include "serve/dispatcher.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <numeric>
 
 #include "serve/fault.hpp"
@@ -52,7 +53,7 @@ const char* to_string(ServeMode mode) {
 }
 
 Dispatcher::Dispatcher(PlanStore& store, const DispatchConfig& cfg)
-    : store_(store), cfg_(cfg), mce_(cfg.num_clusters) {
+    : store_(store), cfg_(cfg) {
   DECIMATE_CHECK(cfg_.num_clusters >= 1,
                  "num_clusters must be >= 1, got " << cfg_.num_clusters);
   // 1 must always be available so any batch size decomposes
@@ -82,9 +83,34 @@ std::vector<int> Dispatcher::fused_chunks(int n) const {
 }
 
 void Dispatcher::warm(int model) {
-  for (const int b : cfg_.fused_batches) store_.plan(model, b, 1);
-  const CompiledPlan& sharded = store_.plan(model, 1, cfg_.num_clusters);
-  mce_.shard_plan(sharded);  // shard schedule is cached too
+  ModelCosts table;
+  for (const int b : cfg_.fused_batches) {
+    table.chunk_cycles[b] =
+        ExecutionEngine::modeled_batch_cycles(store_.plan(model, b, 1), b);
+  }
+  // the shard schedule is only read here: the table keeps what
+  // kShardedSingle needs and the schedule itself is dropped
+  MultiClusterEngine mce(cfg_.num_clusters);
+  const ShardPlan& sp =
+      mce.shard_plan(store_.plan(model, 1, cfg_.num_clusters));
+  table.shard_critical_cycles = sp.critical_path_cycles;
+  table.shard_busy_cycles =
+      std::accumulate(sp.cluster_busy_cycles.begin(),
+                      sp.cluster_busy_cycles.end(), uint64_t{0});
+  costs_[model] = std::move(table);
+}
+
+const Dispatcher::ModelCosts& Dispatcher::costs(int model) const {
+  const auto it = costs_.find(model);
+  DECIMATE_CHECK(it != costs_.end(), "model " << model << " was not warm()ed");
+  return it->second;
+}
+
+uint64_t Dispatcher::fused_cycles(int model, int n) const {
+  const ModelCosts& table = costs(model);
+  uint64_t cycles = 0;
+  for (const int b : fused_chunks(n)) cycles += table.chunk_cycles.at(b);
+  return cycles;
 }
 
 std::vector<ModeEval> Dispatcher::evaluate(
@@ -94,6 +120,7 @@ std::vector<ModeEval> Dispatcher::evaluate(
   DECIMATE_CHECK(arrivals.size() == static_cast<size_t>(batch_size),
                  "one arrival per request expected");
   const size_t n = static_cast<size_t>(batch_size);
+  const ModelCosts& table = costs(model);
 
   const auto finalize = [&](ModeEval& e) {
     e.deadline_hits = 0;
@@ -119,8 +146,7 @@ std::vector<ModeEval> Dispatcher::evaluate(
     uint64_t at = dispatch_cycles;
     size_t next = 0;
     for (const int b : fused_chunks(batch_size)) {
-      const CompiledPlan& plan = store_.plan(model, b, 1);
-      const uint64_t dur = ExecutionEngine::modeled_batch_cycles(plan, b);
+      const uint64_t dur = table.chunk_cycles.at(b);
       at += dur;
       e.cost_cycles += dur;
       for (int j = 0; j < b; ++j, ++next) {
@@ -139,17 +165,12 @@ std::vector<ModeEval> Dispatcher::evaluate(
     e.mode = ServeMode::kShardedSingle;
     e.completion_cycles.resize(n);
     e.group_size.assign(n, 1);
-    const CompiledPlan& plan = store_.plan(model, 1, cfg_.num_clusters);
-    const ShardPlan& sp = mce_.shard_plan(plan);
-    const uint64_t busy = std::accumulate(sp.cluster_busy_cycles.begin(),
-                                          sp.cluster_busy_cycles.end(),
-                                          uint64_t{0});
     for (size_t i = 0; i < n; ++i) {
       e.completion_cycles[i] =
           dispatch_cycles +
-          sp.critical_path_cycles * static_cast<uint64_t>(i + 1);
+          table.shard_critical_cycles * static_cast<uint64_t>(i + 1);
     }
-    e.cost_cycles = busy * static_cast<uint64_t>(n);
+    e.cost_cycles = table.shard_busy_cycles * static_cast<uint64_t>(n);
     finalize(e);
     evals.push_back(std::move(e));
   }
@@ -294,8 +315,15 @@ DispatchResult Dispatcher::dispatch(FormedBatch batch, const SloConfig& slo) {
 
   const ModeEval pick = [&] {
     trace::TraceScope eval_span(trace::Cat::kDispatch, "dispatcher.evaluate");
+    const auto t0 = std::chrono::steady_clock::now();
     std::vector<ModeEval> evals =
         evaluate(batch.model, n, arrivals, batch.dispatch_cycles, slo);
+    static metrics::Histogram& evaluate_ns =
+        metrics::registry().histogram("serve.evaluate_ns");
+    evaluate_ns.observe(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
     return std::move(evals[choose(evals)]);
   }();
   dispatch_span.sarg("mode", to_string(pick.mode));

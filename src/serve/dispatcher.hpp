@@ -36,11 +36,17 @@
 // single ExecutionEngine — whatever mode was picked.
 //
 // Every plan comes from the PlanStore; after Dispatcher::warm no dispatch
-// compiles anything. If run_batch ever reports a fused-batch mismatch
-// (BatchMismatchError — the structured error proves the condition is
-// recoverable, unlike a bare Error), the dispatcher re-runs the chunk
-// image by image on the unfused plan instead of failing the batch, and
-// restamps the affected stats when the modeled placement is kBatchFused.
+// compiles anything. warm() also fills the model's ModelCosts, the
+// modeled cycles that do not depend on arrivals (each fused chunk size,
+// one sharded image's critical path and busy cycles), so evaluate() reads
+// a table instead of re-deriving them — in particular it never looks up
+// the shard schedule, whose cache key hashes every weight byte.
+//
+// If run_batch ever reports a fused-batch mismatch (BatchMismatchError —
+// the structured error proves the condition is recoverable, unlike a bare
+// Error), the dispatcher re-runs the chunk image by image on the unfused
+// plan instead of failing the batch, and restamps the affected stats when
+// the modeled placement is kBatchFused.
 //
 // serve_trace is the modeled-cycle serving loop over a complete request
 // trace: a Batcher forms batches from arrival cycles alone, each batch
@@ -50,6 +56,7 @@
 // twice yields identical batches, modes, stats and bit-exact outputs.
 // WallClockServer (wallclock.hpp) serves live requests on wall time.
 
+#include <map>
 #include <vector>
 
 #include "serve/batcher.hpp"
@@ -93,8 +100,9 @@ class Dispatcher {
   Dispatcher(PlanStore& store, const DispatchConfig& cfg);
 
   /// Score all modes for a batch of `arrivals` dispatched at
-  /// `dispatch_cycles` (pure cycle model — nothing executes). Exposed so
-  /// tests and benches can probe the decision boundaries directly.
+  /// `dispatch_cycles` (pure cycle model — nothing executes; the model
+  /// must be warm()ed). Exposed so tests and benches can probe the
+  /// decision boundaries directly.
   std::vector<ModeEval> evaluate(int model, int batch_size,
                                  const std::vector<uint64_t>& arrivals,
                                  uint64_t dispatch_cycles,
@@ -107,7 +115,8 @@ class Dispatcher {
   /// fused chunks; results are in request order and bit-exact with
   /// sequential ExecutionEngine::run. Takes the batch by value: the
   /// inputs are consumed (moved into the chunks), never deep-copied on
-  /// the serving path.
+  /// the serving path. The time evaluate() takes is recorded per dispatch
+  /// in the serve.evaluate_ns histogram.
   DispatchResult dispatch(FormedBatch batch, const SloConfig& slo);
 
   /// Run one fused chunk, recovering from a fused-batch mismatch: if
@@ -127,7 +136,8 @@ class Dispatcher {
   /// Pre-compile every plan this dispatcher can request for `model`
   /// (all fused batch sizes at one cluster, the shard-aware single-image
   /// plan that models kShardedSingle, and its shard schedule), so serving
-  /// never compiles.
+  /// never compiles, and fill the model's ModelCosts. Not thread-safe
+  /// against concurrent evaluate()/dispatch() calls: warm first.
   void warm(int model);
 
   /// Greedy fused chunking of n requests: largest configured size <= rest.
@@ -135,17 +145,34 @@ class Dispatcher {
   /// follow.
   std::vector<int> fused_chunks(int n) const;
 
+  /// Modeled cycles of the fused chunks a batch of n runs as on the host
+  /// (Σ over fused_chunks(n), read from the cost table).
+  uint64_t fused_cycles(int model, int n) const;
+
   const DispatchConfig& config() const { return cfg_; }
   PlanStore& store() { return store_; }
 
  private:
+  /// The modeled costs of one model that do not depend on arrivals,
+  /// computed once by warm().
+  struct ModelCosts {
+    /// Modeled cycles of one fused chunk, per configured fused batch size.
+    std::map<int, uint64_t> chunk_cycles;
+    /// kShardedSingle: one image's shard critical path, and the
+    /// cluster-busy cycles it consumes summed over clusters.
+    uint64_t shard_critical_cycles = 0;
+    uint64_t shard_busy_cycles = 0;
+  };
+
+  /// The warm-time cost table of `model`; an Error if it was not warmed.
+  const ModelCosts& costs(int model) const;
   void exec_fused(FormedBatch& batch, const SloConfig& slo,
                   DispatchResult& out);
 
   PlanStore& store_;
   DispatchConfig cfg_;
   ExecutionEngine engine_;
-  MultiClusterEngine mce_;  // shard schedules for the kShardedSingle model
+  std::map<int, ModelCosts> costs_;  // per warmed model
 };
 
 /// Serve `trace` (arrival cycles nondecreasing, or an Error is thrown) on

@@ -78,7 +78,7 @@ WallClockServer::WallClockServer(PlanStore& store,
     dispatchers_.push_back(
         std::make_unique<Dispatcher>(store_, dispatch_cfg_));
   }
-  // normalized fused sizes (sorted, containing 1) for the cycle tables
+  // normalized fused sizes (sorted, containing 1)
   dispatch_cfg_ = dispatchers_.front()->config();
   for (int i = 0; i < kExecutors; ++i) {
     executor_threads_.emplace_back([this, i] { executor_loop(i); });
@@ -103,16 +103,19 @@ uint64_t WallClockServer::now_ns() const {
 
 void WallClockServer::warm(int model) {
   trace::TraceScope span(trace::Cat::kServe, "wallclock.warm");
+  // mu_ is held throughout: the dispatchers' cost tables are read under
+  // it (and, once serving, lock-free by the executors), so warm() and
+  // serve() must not interleave
+  const std::lock_guard<std::mutex> lock(mu_);
+  DECIMATE_CHECK(!serving_, "warm(" << model
+                                    << ") after serve() started: warm every "
+                                       "model before serving");
   for (auto& d : dispatchers_) d->warm(model);
-  // cycle table per fused batch size (the store compiled these in warm)
-  std::map<int, uint64_t> table;
-  for (const int b : dispatch_cfg_.fused_batches) {
-    table[b] = ExecutionEngine::modeled_batch_cycles(store_.plan(model, b, 1),
-                                                     b);
-  }
-  // Calibration: one timed single-image run seeds (or refreshes) the
-  // ns/cycle EWMA that translates modeled cycles into wall predictions.
-  // Two runs, keep the faster — the first pays cold caches.
+  // Calibration: a timed one-image run_batch — the call an executor makes
+  // for a single request, on an engine configured like the executors' —
+  // seeds (or refreshes) the ns/cycle EWMA that translates modeled cycles
+  // into wall predictions. Two runs, keep the faster — the first pays
+  // cold caches.
   const CompiledPlan& single = store_.plan(model, 1, 1);
   Rng rng(0x5eedULL + static_cast<uint64_t>(model));
   const Tensor8 input = Tensor8::random(store_.graph(model).node(0).out_shape,
@@ -120,32 +123,19 @@ void WallClockServer::warm(int model) {
   uint64_t best_ns = UINT64_MAX;
   for (int i = 0; i < 2; ++i) {
     const uint64_t t0 = now_ns();
-    recovery_engine_.run(single, input);
+    recovery_engine_.run_batch(single, {&input, 1});
     best_ns = std::min(best_ns, now_ns() - t0);
   }
-  const uint64_t single_cycles =
-      ExecutionEngine::modeled_batch_cycles(single, 1);
-  const double measured =
-      static_cast<double>(best_ns) / static_cast<double>(single_cycles);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    batch_cycles_[model] = std::move(table);
-    ns_per_cycle_ =
-        ns_per_cycle_ == 0.0 ? measured : 0.5 * ns_per_cycle_ + 0.5 * measured;
-  }
+  const double measured = static_cast<double>(best_ns) /
+                          static_cast<double>(modeled_cycles_for(model, 1));
+  ns_per_cycle_ =
+      ns_per_cycle_ == 0.0 ? measured : 0.5 * ns_per_cycle_ + 0.5 * measured;
 }
 
 uint64_t WallClockServer::modeled_cycles_for(int model, int batch) const {
-  const auto it = batch_cycles_.find(model);
-  DECIMATE_CHECK(it != batch_cycles_.end(),
-                 "model " << model << " was not warm()ed");
-  // the chunks the host executes (fused_chunks only reads the config, so
-  // any thread may ask any dispatcher)
-  uint64_t cycles = 0;
-  for (const int b : dispatchers_.front()->fused_chunks(batch)) {
-    cycles += it->second.at(b);
-  }
-  return cycles;
+  // the fused chunks the host executes, from the warm-time cost table
+  // (every dispatcher holds the same one; warm() writes them under mu_)
+  return dispatchers_.front()->fused_cycles(model, batch);
 }
 
 uint64_t WallClockServer::predicted_exec_ns_locked(int model,
@@ -163,10 +153,7 @@ uint64_t WallClockServer::predicted_exec_ns(int model, int batch) const {
 
 double WallClockServer::sustained_img_per_s(int model) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = batch_cycles_.find(model);
-  DECIMATE_CHECK(it != batch_cycles_.end(),
-                 "model " << model << " was not warm()ed");
-  const int b = it->second.rbegin()->first;  // largest fused size
+  const int b = dispatch_cfg_.fused_batches.back();  // largest fused size
   const uint64_t ns = predicted_exec_ns_locked(model, b);
   return ns == 0 ? 0.0 : static_cast<double>(b) * 1e9 /
                              static_cast<double>(ns);
@@ -292,6 +279,7 @@ std::vector<WallServed> WallClockServer::serve() {
   trace::set_thread_name("serve.wallclock");
   trace::TraceScope serve_span(trace::Cat::kServe, "wallclock.serve");
   std::unique_lock<std::mutex> lock(mu_);
+  serving_ = true;  // from here on warm() throws
   for (;;) {
     cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
     if (queue_.empty()) break;  // closed and drained

@@ -23,10 +23,14 @@
 //   thread; the serving thread waits with a watchdog.
 //      │
 //   executor: Dispatcher::dispatch runs the batch as fused chunks on the
-//   host kernels; the modeled placement it reports is chosen by modeled
-//   cycles under the request's remaining wall budget, translated via the
-//   calibrated ns/cycle. The calibration divides each batch's wall time
-//   by the modeled cycles of those same fused chunks.
+//   host kernels (a lone request as one image split over the engine's
+//   pool); the modeled placement it reports is chosen by modeled cycles
+//   under the request's remaining wall budget, translated via the
+//   calibrated ns/cycle. warm() seeds the calibration by timing that
+//   same one-image call, and every batch then adds its wall time divided
+//   by the modeled cycles of its fused chunks. All modeled cycles come
+//   from the Dispatchers' warm-time cost tables, so warm() every model
+//   before serve() — a warm() after serve() has started throws.
 //
 // Fault-tolerance ladder, in escalation order:
 //  1. retry-with-backoff: a failed dispatch retries up to max_retries
@@ -139,19 +143,22 @@ struct WallServed {
 
 class WallClockServer {
  public:
-  /// Executors get their own Dispatchers over `store` (Dispatcher and
-  /// MultiClusterEngine are single-caller by design; per-thread instances
-  /// make the concurrency story trivial), plus one recovery engine for
-  /// per-image redispatch on the serving thread.
+  /// Executors get their own Dispatchers over `store` (Dispatcher is
+  /// single-caller by design; per-thread instances make the concurrency
+  /// story trivial), plus one recovery engine for per-image redispatch on
+  /// the serving thread.
   WallClockServer(PlanStore& store, const DispatchConfig& dispatch_cfg,
                   const WallClockConfig& cfg);
   ~WallClockServer();
   WallClockServer(const WallClockServer&) = delete;
   WallClockServer& operator=(const WallClockServer&) = delete;
 
-  /// Compile every plan serving can request for `model` on every
-  /// executor, then run one calibration inference to seed the ns/cycle
-  /// EWMA. Must run before submit() sees the model.
+  /// Compile every plan serving can request for `model` and fill every
+  /// executor's Dispatcher cost table, then time one calibration
+  /// inference — a one-image run_batch, the call an executor makes — to
+  /// seed the ns/cycle EWMA. Must run before serve(): once serve() has
+  /// started, warm() throws an Error (the check and serve()'s start are
+  /// under one mutex, so the two never interleave).
   void warm(int model);
 
   /// Thread-safe. Stamps arrival, decides admission, enqueues or records
@@ -209,7 +216,9 @@ class WallClockServer {
   void record_terminal(const QueuedRequest& qr, ServeOutcome outcome,
                        ServeReason reason, const std::string& detail,
                        uint64_t dispatch_ns);
-  uint64_t modeled_cycles_for(int model, int batch) const;  // mu_ held
+  /// Modeled cycles of the fused chunks a batch runs as, read from the
+  /// Dispatchers' warm-time cost table; mu_ held.
+  uint64_t modeled_cycles_for(int model, int batch) const;
   uint64_t predicted_exec_ns_locked(int model, int batch) const;
   void update_brownout_locked(size_t depth);
   void shed_infeasible_locked(uint64_t now);
@@ -224,10 +233,9 @@ class WallClockServer {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool closed_ = false;
+  bool serving_ = false;  // serve() has started: warm() is refused
   EdfQueue queue_;
   std::vector<WallServed> done_;
-  // modeled cycles per (model, fused batch size)
-  std::map<int, std::map<int, uint64_t>> batch_cycles_;
   double ns_per_cycle_ = 0.0;  // EWMA, seeded by warm()'s timed run
   uint64_t inflight_pred_ns_ = 0;
   int brownout_level_ = 0;

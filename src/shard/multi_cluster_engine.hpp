@@ -19,7 +19,9 @@
 // instead of splitting one image's tiles across clusters (latency), whole
 // images go to clusters round-robin (throughput) — no stitch or reduction
 // traffic, per-cluster pipelines modeled independently. The serve
-// Dispatcher scores both placements per formed batch.
+// Dispatcher scores both placements per formed batch (the sharded one
+// from the critical path and busy cycles it took from shard_plan() at
+// warm time).
 
 #include <functional>
 #include <map>
@@ -92,7 +94,10 @@ class MultiClusterEngine {
 
   /// The (cached) shard schedule for a plan; builds it on first use.
   /// Plans are keyed by content (plan_fingerprint), so a re-created plan
-  /// with identical graph/options reuses the schedule.
+  /// with identical graph/options reuses the schedule. Every call — hit
+  /// or miss, and so every run() — hashes the whole graph, weights
+  /// included: keep it off per-request paths (the serve Dispatcher reads
+  /// the schedule once, at warm()).
   const ShardPlan& shard_plan(const CompiledPlan& plan);
 
   int num_clusters() const { return num_clusters_; }

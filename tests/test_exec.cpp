@@ -256,7 +256,9 @@ TEST(Exec, IntraImageThreadingBitExactOnResnet18AndVit) {
   // splitting each gemm step's output rows (conv) / tokens or channels
   // (FC, matmul) across the pool must be bit-identical to the serial
   // path — outputs AND reports — at any thread count, with the MAC floor
-  // zeroed so even the tiniest steps take the parallel path
+  // zeroed so even the tiniest steps take the parallel path. Both entry
+  // points split: run() (set_intra_image_threads) and a one-image
+  // run_batch (set_workers).
   for (const bool vit : {false, true}) {
     const Graph g = vit ? scaled_vit() : scaled_resnet18();
     Compiler compiler(isa_options());
@@ -271,8 +273,15 @@ TEST(Exec, IntraImageThreadingBitExactOnResnet18AndVit) {
       ExecutionEngine threaded;
       threaded.set_intra_image_threads(threads);
       threaded.set_intra_mac_floor(0);
+      ExecutionEngine batched;
+      batched.set_workers(threads);
+      batched.set_intra_mac_floor(0);
       for (const Tensor8& input : inputs) {
-        expect_same_run(threaded.run(plan, input), serial.run(plan, input));
+        const NetworkRun ref = serial.run(plan, input);
+        expect_same_run(threaded.run(plan, input), ref);
+        const BatchRun one = batched.run_batch(plan, {&input, 1});
+        ASSERT_EQ(one.runs.size(), 1u);
+        expect_same_run(one.runs[0], ref);
       }
     }
   }

@@ -6,20 +6,23 @@
 // data-parallel) with stats that report exactly the modeled placement
 // while the host runs fused chunks, oversize batches splitting into fused
 // chunks, mixed ResNet18/ViT-FFN request streams keyed to different plans,
-// PlanStore compile-once behavior, the structured run_batch mismatch
-// error, and — everywhere — bit-exactness of every served output against
-// a sequential ExecutionEngine::run.
+// PlanStore compile-once behavior, no graph hashing on any dispatch after
+// warm-up (serve_trace and WallClockServer), the structured run_batch
+// mismatch error, and — everywhere — bit-exactness of every served output
+// against a sequential ExecutionEngine::run.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "compiler/fingerprint.hpp"
 #include "exec/compile.hpp"
 #include "exec/engine.hpp"
 #include "models/models.hpp"
 #include "serve/dispatcher.hpp"
+#include "serve/wallclock.hpp"
 #include "trace/metrics.hpp"
 
 namespace decimate {
@@ -387,6 +390,57 @@ TEST(Serve, PlanStoreCompilesEachConfigOnceAcrossTraffic) {
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_TRUE(first[i].output == second[i].output)
         << "identical traces must serve identical outputs";
+  }
+}
+
+TEST(Serve, DispatchAfterWarmHashesNoGraph) {
+  // graph_fingerprint is a pass over every weight byte; after warm() the
+  // dispatcher reads its cost table, so no dispatch may call it — on the
+  // modeled timeline or on the wall-clock server
+  auto& scans = metrics::registry().counter("compiler.graph_fingerprints");
+  {
+    Harness h(4);
+    const Graph g = scaled_resnet18();
+    const int m = h.add(g);
+    SloConfig slo;
+    slo.max_wait_cycles = 0;
+    slo.deadline_cycles = UINT64_MAX;
+    slo.max_batch = 2;
+    const auto trace = burst(m, input_shape(g), 5, 0, 72);
+    const uint64_t before = scans.value();
+    const auto served = h.serve(slo, trace);
+    EXPECT_EQ(scans.value(), before);
+    std::set<uint64_t> dispatches;
+    for (const Served& s : served) dispatches.insert(s.stats.dispatch_cycles);
+    EXPECT_GE(dispatches.size(), 3u) << "the trace must span several batches";
+    h.expect_bit_exact(served, trace);
+  }
+  {
+    PlanStore store(isa_options(), shared_test_cache());
+    const Graph g = small_ffn();
+    const int m = store.add_model(g);
+    WallClockConfig cfg;
+    cfg.max_batch = 2;
+    cfg.watchdog_floor_ns = 30'000'000'000;  // a slow host must not redispatch
+    WallClockServer server(store, DispatchConfig{4, {1, 2}}, cfg);
+    server.warm(m);
+    const uint64_t before = scans.value();
+    Rng rng(73);
+    for (uint64_t id = 0; id < 4; ++id) {
+      WallRequest r;
+      r.id = id;
+      r.model = m;
+      r.deadline_ns = 20'000'000'000;  // 20 s: never binds
+      r.input = Tensor8::random(input_shape(g), rng);
+      server.submit(std::move(r));
+    }
+    server.close();
+    const auto done = server.serve();
+    EXPECT_EQ(scans.value(), before);
+    ASSERT_EQ(done.size(), 4u);
+    for (const WallServed& w : done) {
+      EXPECT_EQ(w.outcome, ServeOutcome::kOk) << w.detail;
+    }
   }
 }
 

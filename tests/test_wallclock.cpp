@@ -1,7 +1,9 @@
 // Wall-clock serving tests: the FaultInjector's deterministic schedules,
 // EDF queue ordering and shed-victim selection, the pure admission
 // decision, the ns -> cycle budget translation, and the WallClockServer
-// end to end — a 4-thread bit-exact smoke (the TSan target), prediction
+// end to end — a 4-thread bit-exact smoke (the TSan target), warm()
+// refused once serve() runs (on a model whose one-image batches split
+// over the executor's pool), prediction
 // error against the pre-dispatch prediction, reject-at-admission, a
 // deadline too long for the clock, shed-under-burst, and every rung of
 // the fault-tolerance ladder under seeded injection: retry-then-succeed,
@@ -16,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <exception>
 #include <filesystem>
 #include <map>
 #include <thread>
@@ -41,6 +45,11 @@ CompileOptions isa_options() {
 }
 
 Graph small_ffn() { return build_ffn_block(32, 64, 128, 8, 11); }
+
+/// 2.1M-MAC gemm steps: above the engine's 1M-MAC intra-image floor, so a
+/// one-image batch splits over the executor's pool (small_ffn's 262K-MAC
+/// steps never do).
+Graph split_ffn() { return build_ffn_block(64, 128, 256, 8, 12); }
 
 std::vector<int> input_shape(const Graph& g) { return g.node(0).out_shape; }
 
@@ -325,6 +334,72 @@ TEST(WallClock, ServesConcurrentSubmittersBitExact) {
         store.plan(m, 1, 1),
         inputs[static_cast<size_t>(t)][static_cast<size_t>(i)]);
     EXPECT_TRUE(w.output == ref.output)
+        << "request " << w.id << " output differs from sequential run";
+  }
+}
+
+TEST(WallClock, WarmAfterServeHasStartedThrows) {
+  // warm() writes the cost tables the executors read while serving, so
+  // once serve() runs a warm() is refused with an Error — and the model
+  // already being served keeps completing bit-exactly
+  PlanStore store(isa_options(), shared_test_cache());
+  const Graph a = split_ffn();
+  const Graph b = small_ffn();
+  const int ma = store.add_model(a);
+  const int mb = store.add_model(b);
+
+  WallClockConfig cfg;
+  cfg.max_batch = 2;
+  cfg.watchdog_floor_ns = 30'000'000'000;  // a slow host must not redispatch
+  WallClockServer server(store, DispatchConfig{1, {1, 2}}, cfg);
+  server.warm(ma);
+
+  constexpr int kRequests = 6;
+  Rng rng(43);
+  std::vector<Tensor8> inputs;
+  for (int i = 0; i < kRequests; ++i) {
+    inputs.push_back(Tensor8::random(input_shape(a), rng));
+  }
+  auto& served_ok = metrics::registry().counter("serve.wall.served_ok");
+  const uint64_t ok_before = served_ok.value();
+  std::vector<WallServed> done;
+  std::exception_ptr serve_error;
+  std::thread serving([&] {
+    try {
+      done = server.serve();
+    } catch (...) {
+      serve_error = std::current_exception();
+    }
+  });
+  // a lone first request: a one-image batch, split on the executor
+  server.submit(request(0, ma, inputs[0]));
+  // serve() has started once it has served that request
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (served_ok.value() == ok_before &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(served_ok.value(), ok_before) << "the first request never served";
+  EXPECT_THROW(server.warm(mb), Error);
+  for (int i = 1; i < kRequests; ++i) {
+    server.submit(request(static_cast<uint64_t>(i), ma,
+                          inputs[static_cast<size_t>(i)]));
+  }
+  server.close();
+  serving.join();
+  if (serve_error) std::rethrow_exception(serve_error);
+
+  ASSERT_EQ(done.size(), static_cast<size_t>(kRequests));
+  ExecutionEngine engine;
+  for (const WallServed& w : done) {
+    ASSERT_EQ(w.outcome, ServeOutcome::kOk)
+        << "request " << w.id << ": " << to_string(w.reason) << " "
+        << w.detail;
+    EXPECT_TRUE(w.output ==
+                engine.run(store.plan(ma, 1, 1),
+                           inputs[static_cast<size_t>(w.id)])
+                    .output)
         << "request " << w.id << " output differs from sequential run";
   }
 }
