@@ -28,6 +28,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -273,11 +274,34 @@ std::vector<InstanceRow> bench_instances(const BenchConfig& cfg) {
   return rows;
 }
 
-void emit_json(std::ostream& os, bool smoke, const std::vector<Row>& rows,
+#ifndef DECIMATE_BUILD_TYPE
+#define DECIMATE_BUILD_TYPE "unknown"
+#endif
+
+/// What the numbers were measured with: build type, compiler, the ISA
+/// tier instance selection detected, and the host's thread count.
+struct BuildInfo {
+  std::string build_type = DECIMATE_BUILD_TYPE;
+#if defined(__clang__)
+  std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  std::string compiler = "gcc " __VERSION__;
+#else
+  std::string compiler = "unknown";
+#endif
+  std::string isa = host_isa_name(host_isa_detected());
+  unsigned threads = std::thread::hardware_concurrency();
+};
+
+void emit_json(std::ostream& os, bool smoke, const BuildInfo& build,
+               const std::vector<Row>& rows,
                const std::vector<InstanceRow>& instances) {
   os << "{\n  \"bench\": \"host_throughput\",\n  \"smoke\": "
-     << (smoke ? "true" : "false") << ",\n  \"host_isa\": \""
-     << host_isa_name(host_isa_detected()) << "\",\n  \"results\": [\n";
+     << (smoke ? "true" : "false") << ",\n  \"build_type\": \""
+     << build.build_type << "\",\n  \"compiler\": \"" << build.compiler
+     << "\",\n  \"host_isa\": \"" << build.isa
+     << "\",\n  \"hardware_concurrency\": " << build.threads
+     << ",\n  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     os << "    {\"model\": \"" << r.model << "\", \"m\": " << r.m
@@ -384,6 +408,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  const BuildInfo build;
+  std::cout << "build " << build.build_type << ", " << build.compiler
+            << ", isa " << build.isa << ", " << build.threads
+            << " hardware threads\n";
   const auto cache = std::make_shared<TileLatencyCache>();
   std::vector<Row> rows;
 
@@ -468,7 +496,7 @@ int main(int argc, char** argv) {
     std::cerr << "cannot open " << out_path << "\n";
     return 1;
   }
-  emit_json(out, cfg.smoke, rows, instances);
+  emit_json(out, cfg.smoke, build, rows, instances);
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

@@ -417,12 +417,6 @@ void write_step(serde::Writer& w, BlobWriter& blob, const PlanStep& s) {
   // is host-specific and re-selected at load
   w.u8(static_cast<uint8_t>(s.host.impl));
   w.i32(s.host.m);
-  w.i32(s.host.taps);
-  write_ref(w, blob, s.host.tap_start);
-  write_ref(w, blob, s.host.ci);
-  write_ref(w, blob, s.host.tap_off);
-  write_ref(w, blob, s.host.tap_fy);
-  write_ref(w, blob, s.host.tap_fx);
   write_ref(w, blob, s.host.row_start);
   write_ref(w, blob, s.host.col);
   write_ref(w, blob, s.host.val);
@@ -477,14 +471,8 @@ PlanStep read_step(serde::Reader& r, const BlobReader& blob,
   s.weight_region = static_cast<MemRegion>(r.u8());
   s.host.impl = static_cast<HostImpl>(r.u8());
   s.host.m = r.i32();
-  s.host.taps = r.i32();
-  s.host.tap_start = blob.read_ref<int32_t>(r);
-  s.host.ci = blob.read_ref<uint16_t>(r);
-  s.host.tap_off = blob.read_ref<int32_t>(r);
-  s.host.tap_fy = blob.read_ref<int16_t>(r);
-  s.host.tap_fx = blob.read_ref<int16_t>(r);
   s.host.row_start = blob.read_ref<int32_t>(r);
-  s.host.col = blob.read_ref<int32_t>(r);
+  s.host.col = blob.read_ref<uint16_t>(r);
   s.host.val = blob.read_ref<int8_t>(r);
   s.tile_costs.resize(r.u64());
   for (TileCost& tc : s.tile_costs) {

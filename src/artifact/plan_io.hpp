@@ -47,7 +47,9 @@
 
 namespace decimate::artifact {
 
-constexpr uint32_t kFormatVersion = 1;
+// v2: one host gather plan (row_start, uint16 col, val) for both sparse
+// families. Artifacts of any other version are refused.
+constexpr uint32_t kFormatVersion = 2;
 
 /// Fixed header size: magic + version + plan/graph fingerprints +
 /// 4-entry section table + header CRC (the last 4 bytes of the header).

@@ -5,7 +5,7 @@
 #include <iterator>
 #include <utility>
 
-#include "nn/host_kernels.hpp"
+#include "nn/host_kernel_instances.hpp"
 #include "nn/ref_ops.hpp"
 #include "trace/metrics.hpp"
 
@@ -92,14 +92,27 @@ void exec_gemm_node_host_parallel(const PlanStep& step, const Node& node,
   };
 
   if (node.op == OpType::kConv2d) {
+    // split output rows — or output channels when the smallest row part
+    // would hold fewer pixels than the kernel computes side by side
+    // (a 4x4 plane over 4 parts fills 4 of 16 lanes), so every part runs
+    // full pixel blocks
     const ConvGeom& g = node.conv;
     out = Tensor8({g.oy(), g.ox(), g.k});
-    const int n = std::min(std::max(1, parts), g.oy());
-    pool.run(n, [&](int i) {
-      const auto [lo, hi] = chunk(g.oy(), n, i);
-      host_conv2d_s8_into(step.host, in, node.weights, node.bias, g, node.rq,
-                          lo, hi, 0, g.k, out);
-    });
+    const int rows_n = std::min(std::max(1, parts), g.oy());
+    if ((g.oy() / rows_n) * g.ox() >= host_instance_lanes(step.host)) {
+      pool.run(rows_n, [&](int i) {
+        const auto [lo, hi] = chunk(g.oy(), rows_n, i);
+        host_conv2d_s8_into(step.host, in, node.weights, node.bias, g,
+                            node.rq, lo, hi, 0, g.k, out);
+      });
+    } else {
+      const int n = std::min(std::max(1, parts), g.k);
+      pool.run(n, [&](int i) {
+        const auto [lo, hi] = chunk(g.k, n, i);
+        host_conv2d_s8_into(step.host, in, node.weights, node.bias, g,
+                            node.rq, 0, g.oy(), lo, hi, out);
+      });
+    }
     return;
   }
 

@@ -28,13 +28,15 @@ void exec_gemm_node_host(const PlanStep& step, const Node& node,
                          bool use_host, Tensor8& out);
 
 /// Intra-image parallel variant: partitions the step's output — conv
-/// rows, FC tokens (falling back to output channels when the token count
-/// is small) — into `parts` disjoint ranges executed concurrently on
-/// `pool` through the ranged host ops. Disjoint ranges stitch bit-exactly
-/// (each output element is produced by exactly one range, with the same
-/// accumulation as the full-range call), so the result is bit-identical
-/// to exec_gemm_node_host. `parts` is clamped to the split axis; a pool
-/// task calling this nests inline (see WorkerPool::run).
+/// rows (output channels when a row part would hold fewer pixels than the
+/// selected instance's lane count), FC tokens (output channels when the
+/// token count is small) — into `parts` disjoint ranges executed
+/// concurrently on `pool` through the ranged host ops. Disjoint ranges
+/// stitch bit-exactly (each output element is produced by exactly one
+/// range, with the same accumulation as the full-range call), so the
+/// result is bit-identical to exec_gemm_node_host. `parts` is clamped to
+/// the split axis; a pool task calling this nests inline (see
+/// WorkerPool::run).
 void exec_gemm_node_host_parallel(const PlanStep& step, const Node& node,
                                   const Tensor8& in, const Tensor8* b_operand,
                                   WorkerPool& pool, int parts, Tensor8& out);

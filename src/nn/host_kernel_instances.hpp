@@ -6,14 +6,22 @@
 // composable-kernel instance-dispatch idiom applied to this repo's host
 // backend.
 //
+// The sparse families run the paper's kernel shape (Sec. 4.1) at every
+// geometry: a block of `lanes` output pixels (conv: im2col'd into a
+// [fsz][lanes] buffer, zero where a tap reaches into the padding) or
+// tokens (FC: transposed into [C][lanes]) is walked once per output
+// channel over that channel's non-zeros, one broadcast multiply per
+// non-zero. Conv and FC share the gather plan and the row loop, so a
+// sparse conv has no stride, interior or border special case.
+//
 // Three ISA tiers:
-//  - kScalar:     the blocked scalar loops (always present — the
-//                 guaranteed fallback, and the oracle the SIMD instances
-//                 are fuzzed against).
-//  - kAvx2:       16-lane int8 dot-product microkernels built from
-//                 sign-extend + pmaddwd (exact: s16 x s16 pair-products
-//                 fit int32, accumulation wraps mod 2^32 like the scalar
-//                 reference, so outputs are bit-identical in any order).
+//  - kScalar:     the blocked scalar loops, 4 lanes (always present —
+//                 the guaranteed fallback, and the oracle the SIMD
+//                 instances are fuzzed against).
+//  - kAvx2:       16-lane int8 microkernels built from sign-extend +
+//                 pmaddwd / mullo (exact: s16 x s16 products fit int32,
+//                 accumulation wraps mod 2^32 like the scalar reference,
+//                 so outputs are bit-identical in any order).
 //  - kAvx512Vnni: vpdpbusd u8 x s8 dot products with the +128 bias
 //                 correction (acc = sum((x+128) w) - 128 sum(w), exact mod
 //                 2^32).
@@ -50,6 +58,7 @@ struct HostInstanceInfo {
   HostImpl family;       // which kernel family it implements
   HostIsa isa;           // minimum ISA tier required to run it
   const char* geometry;  // human-readable selection predicate
+  int lanes;             // output pixels / tokens computed side by side
 };
 
 int host_instance_count();
@@ -58,6 +67,11 @@ const HostInstanceInfo& host_instance_info(int id);
 /// The instance a dispatch selected (name of d.instance; "ref" when the
 /// dispatch is a default-constructed reference fallback).
 const char* host_instance_name(const HostKernelDispatch& d);
+
+/// Lane count of the instance a dispatch selected (1 for "ref"): a range
+/// split that leaves a part fewer output pixels or tokens than this runs
+/// that part's kernel on partly empty blocks.
+int host_instance_lanes(const HostKernelDispatch& d);
 
 /// Test/bench hook: override the compile-time selection with a specific
 /// registry instance. Checks the instance implements d's family and that

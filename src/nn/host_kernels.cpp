@@ -88,26 +88,19 @@ void run_fc_nm_scalar(const HostKernelDispatch& d, const Tensor8& input,
 // ---------------------------------------------------------------------------
 // Geometry predicates. A predicate says "this instance is the fast choice
 // here", never "this instance works here" — every instance handles every
-// geometry of its family via internal scalar borders/tails.
+// geometry of its family.
 // ---------------------------------------------------------------------------
 
 #if defined(DECIMATE_HAVE_AVX2_TU) || defined(DECIMATE_HAVE_AVX512_TU)
 bool conv_dense_wide16(const ConvGeom& g, int) { return g.fx * g.c >= 16; }
 
-bool conv_nm_interior8(const ConvGeom& g, int) {
-  // the pixel-major kernel multiplies each non-zero across up to 16
-  // adjacent output columns — it needs unit stride (contiguous pixels in
-  // the transposed plane) and enough interior to fill at least half a
-  // vector (partial remainder blocks keep narrow interiors vectorized,
-  // so >= 8 columns already beats the scalar gather)
-  const auto [x_lo, x_hi] =
-      hostk::interior_range(g.ix, g.fx, g.stride, g.pad, g.ox());
-  return g.stride == 1 && x_hi - x_lo >= 8;
-}
-
 bool fc_dense_deep16(int, int c, int, int) { return c >= 16; }
 
 bool fc_nm_tokens8(int tokens, int, int, int) { return tokens >= 8; }
+#endif
+
+#if defined(DECIMATE_HAVE_AVX2_TU)
+bool conv_dense_narrow16(const ConvGeom& g, int) { return g.fx * g.c < 16; }
 #endif
 
 #if defined(DECIMATE_HAVE_AVX512_TU)
@@ -137,43 +130,49 @@ const hostk::Instance kInstances[] = {
     // registered for forcing/benching on the shapes where it wins
 #if defined(DECIMATE_HAVE_AVX2_TU)
     {{"conv-dense-mac16-avx2", HostImpl::kDenseConv, HostIsa::kAvx2,
-      "fx*c >= 16"},
+      "fx*c >= 16", 1},
      conv_dense_wide16, nullptr, hostk::conv_dense_avx2, nullptr},
 #endif
 #if defined(DECIMATE_HAVE_AVX512_TU)
     {{"conv-dense-dp64-vnni", HostImpl::kDenseConv, HostIsa::kAvx512Vnni,
-      "fx*c >= 64"},
+      "fx*c >= 64", 1},
      conv_dense_wide64, nullptr, hostk::conv_dense_vnni, nullptr},
 #endif
-    {{"conv-dense-scalar", HostImpl::kDenseConv, kIsaScalar, "always"},
+#if defined(DECIMATE_HAVE_AVX2_TU)
+    {{"conv-dense-im2col16-avx2", HostImpl::kDenseConv, HostIsa::kAvx2,
+      "fx*c < 16", 16},
+     conv_dense_narrow16, nullptr, hostk::conv_dense_im2col_avx2, nullptr},
+#endif
+    {{"conv-dense-scalar", HostImpl::kDenseConv, kIsaScalar, "always", 4},
      fits_always_conv, nullptr, run_conv_dense_scalar, nullptr},
 
 #if defined(DECIMATE_HAVE_AVX2_TU)
-    {{"conv-nm-pix16-avx2", HostImpl::kSparseConv, HostIsa::kAvx2,
-      "stride == 1 && interior >= 8"},
-     conv_nm_interior8, nullptr, hostk::conv_nm_avx2, nullptr},
+    {{"conv-nm-im2col16-avx2", HostImpl::kSparseConv, HostIsa::kAvx2,
+      "always", 16},
+     fits_always_conv, nullptr, hostk::conv_nm_avx2, nullptr},
 #endif
-    {{"conv-nm-scalar", HostImpl::kSparseConv, kIsaScalar, "always"},
+    {{"conv-nm-scalar", HostImpl::kSparseConv, kIsaScalar, "always", 4},
      fits_always_conv, nullptr, run_conv_nm_scalar, nullptr},
 
 #if defined(DECIMATE_HAVE_AVX512_TU)
     {{"fc-dense-dp64-vnni", HostImpl::kDenseFc, HostIsa::kAvx512Vnni,
-      "c >= 64"},
+      "c >= 64", 2},
      nullptr, fc_dense_deep64, nullptr, hostk::fc_dense_vnni},
 #endif
 #if defined(DECIMATE_HAVE_AVX2_TU)
-    {{"fc-dense-mac16-avx2", HostImpl::kDenseFc, HostIsa::kAvx2, "c >= 16"},
+    {{"fc-dense-mac16-avx2", HostImpl::kDenseFc, HostIsa::kAvx2, "c >= 16",
+      2},
      nullptr, fc_dense_deep16, nullptr, hostk::fc_dense_avx2},
 #endif
-    {{"fc-dense-scalar", HostImpl::kDenseFc, kIsaScalar, "always"},
+    {{"fc-dense-scalar", HostImpl::kDenseFc, kIsaScalar, "always", 4},
      nullptr, fits_always_fc, nullptr, run_fc_dense_scalar},
 
 #if defined(DECIMATE_HAVE_AVX2_TU)
     {{"fc-nm-tok16-avx2", HostImpl::kSparseFc, HostIsa::kAvx2,
-      "tokens >= 8"},
+      "tokens >= 8", 16},
      nullptr, fc_nm_tokens8, nullptr, hostk::fc_nm_avx2},
 #endif
-    {{"fc-nm-scalar", HostImpl::kSparseFc, kIsaScalar, "always"},
+    {{"fc-nm-scalar", HostImpl::kSparseFc, kIsaScalar, "always", 4},
      nullptr, fits_always_fc, nullptr, run_fc_nm_scalar},
 };
 
@@ -223,6 +222,28 @@ int select_fc_instance(HostImpl family, int tokens, int c, int k, int m) {
     if (ins.fits_fc != nullptr && ins.fits_fc(tokens, c, k, m)) return i;
   }
   DECIMATE_FAIL("no fc instance fits family " << host_impl_name(family));
+}
+
+/// Decode the packed non-zeros of every row into the shared gather plan:
+/// row_start CSR, dense column (j * M + offset) and value. Stored zero
+/// values are dropped — they contribute nothing.
+void build_gather(const NmPacked& packed, HostKernelDispatch& d) {
+  d.row_start.assign(static_cast<size_t>(packed.rows) + 1, 0);
+  d.col.reserve(static_cast<size_t>(packed.rows) * packed.nz_per_row);
+  d.val.reserve(d.col.capacity());
+  for (int r = 0; r < packed.rows; ++r) {
+    for (int j = 0; j < packed.nz_per_row; ++j) {
+      const int8_t v =
+          packed.values[static_cast<size_t>(r) * packed.values_row_bytes +
+                        static_cast<size_t>(j)];
+      if (v == 0) continue;
+      d.col.push_back(
+          static_cast<uint16_t>(j * packed.m + packed.offset_at(r, j)));
+      d.val.push_back(v);
+    }
+    d.row_start[static_cast<size_t>(r) + 1] =
+        static_cast<int32_t>(d.val.size());
+  }
 }
 
 }  // namespace
@@ -293,6 +314,11 @@ const char* host_instance_name(const HostKernelDispatch& d) {
   return resolve(d).info.name;
 }
 
+int host_instance_lanes(const HostKernelDispatch& d) {
+  if (d.impl == HostImpl::kRefFallback) return 1;
+  return resolve(d).info.lanes;
+}
+
 void host_force_instance(HostKernelDispatch& d, int id) {
   DECIMATE_CHECK(id >= 0 && id < kNumInstances,
                  "host instance id out of range: " << id);
@@ -316,45 +342,11 @@ HostKernelDispatch host_dispatch_for_conv(const ConvGeom& g,
   }
   DECIMATE_CHECK(packed->rows == g.k && packed->cols == g.fsz(),
                  "packed weights do not match conv geometry");
-  DECIMATE_CHECK(g.c <= 65535, "conv channel count overflows gather index");
+  DECIMATE_CHECK(g.fsz() <= 65535, "conv filter size overflows gather index");
   d.impl = HostImpl::kSparseConv;
   d.m = packed->m;
   d.instance = select_conv_instance(d.impl, g, packed->m);
-  d.taps = g.fy * g.fx;
-  d.tap_off.resize(static_cast<size_t>(d.taps));
-  d.tap_fy.resize(static_cast<size_t>(d.taps));
-  d.tap_fx.resize(static_cast<size_t>(d.taps));
-  for (int t = 0; t < d.taps; ++t) {
-    const int fy = t / g.fx, fx = t % g.fx;
-    d.tap_fy[static_cast<size_t>(t)] = static_cast<int16_t>(fy);
-    d.tap_fx[static_cast<size_t>(t)] = static_cast<int16_t>(fx);
-    d.tap_off[static_cast<size_t>(t)] = (fy * g.ix + fx) * g.c;
-  }
-  d.tap_start.assign(static_cast<size_t>(g.k) * d.taps + 1, 0);
-  d.ci.reserve(static_cast<size_t>(g.k) * packed->nz_per_row);
-  d.val.reserve(d.ci.capacity());
-  for (int r = 0; r < g.k; ++r) {
-    int tap_cursor = 0;
-    for (int j = 0; j < packed->nz_per_row; ++j) {
-      const int8_t v =
-          packed->values[static_cast<size_t>(r) * packed->values_row_bytes +
-                         static_cast<size_t>(j)];
-      if (v == 0) continue;  // zero weight contributes nothing — drop it
-      const int dcol = j * packed->m + packed->offset_at(r, j);
-      const int tap = dcol / g.c;
-      // dcol ascends with j, so taps arrive in order; close skipped taps
-      while (tap_cursor < tap) {
-        d.tap_start[static_cast<size_t>(r) * d.taps + ++tap_cursor] =
-            static_cast<int32_t>(d.val.size());
-      }
-      d.ci.push_back(static_cast<uint16_t>(dcol % g.c));
-      d.val.push_back(v);
-    }
-    while (tap_cursor < d.taps) {
-      d.tap_start[static_cast<size_t>(r) * d.taps + ++tap_cursor] =
-          static_cast<int32_t>(d.val.size());
-    }
-  }
+  build_gather(*packed, d);
   return d;
 }
 
@@ -368,24 +360,11 @@ HostKernelDispatch host_dispatch_for_fc(int rows, int c,
   }
   DECIMATE_CHECK(packed->rows == rows && packed->cols == c,
                  "packed weights do not match fc geometry");
+  DECIMATE_CHECK(c <= 65535, "fc input width overflows gather index");
   d.impl = HostImpl::kSparseFc;
   d.m = packed->m;
   d.instance = select_fc_instance(d.impl, tokens, c, rows, packed->m);
-  d.row_start.assign(static_cast<size_t>(rows) + 1, 0);
-  d.col.reserve(static_cast<size_t>(rows) * packed->nz_per_row);
-  d.val.reserve(d.col.capacity());
-  for (int r = 0; r < rows; ++r) {
-    for (int j = 0; j < packed->nz_per_row; ++j) {
-      const int8_t v =
-          packed->values[static_cast<size_t>(r) * packed->values_row_bytes +
-                         static_cast<size_t>(j)];
-      if (v == 0) continue;
-      d.col.push_back(j * packed->m + packed->offset_at(r, j));
-      d.val.push_back(v);
-    }
-    d.row_start[static_cast<size_t>(r) + 1] =
-        static_cast<int32_t>(d.val.size());
-  }
+  build_gather(*packed, d);
   return d;
 }
 

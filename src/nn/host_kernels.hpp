@@ -18,11 +18,10 @@
 //    exactly the reference order, so outputs match bit for bit.
 //
 // A HostKernelDispatch is built once at compile time (per PlanStep) from
-// the step's KernelChoice: sparse steps decode the packed weights into a
-// gather plan (per-filter-tap CSR for conv, per-row column CSR for FC),
-// dense steps carry just the implementation tag. A default-constructed
-// dispatch falls back to the reference ops, which stay the bit-exactness
-// oracle.
+// the step's KernelChoice: sparse steps decode the packed weights into
+// the gather plan both sparse families share, dense steps carry just the
+// implementation tag. A default-constructed dispatch falls back to the
+// reference ops, which stay the bit-exactness oracle.
 
 #include <cstdint>
 #include <vector>
@@ -40,8 +39,8 @@ enum class HostImpl : uint8_t {
   kRefFallback = 0,  // no dispatch built: scalar reference ops
   kDenseConv,        // blocked dense conv (interior/border split, K x 4)
   kDenseFc,          // K-blocked dense FC (also matmul: dynamic weights)
-  kSparseConv,       // N:M gather conv (per-tap CSR over the non-zeros)
-  kSparseFc,         // N:M gather FC (per-row column CSR)
+  kSparseConv,       // N:M gather conv (row CSR over im2col pixel blocks)
+  kSparseFc,         // N:M gather FC (row CSR over token blocks)
 };
 
 const char* host_impl_name(HostImpl impl);
@@ -59,28 +58,21 @@ struct HostKernelDispatch {
   // family's scalar instance at run time.
   int instance = -1;
 
-  // Sparse conv: non-zeros grouped by (output channel, filter tap), in
-  // ascending (tap, channel) order — the dense reference order with the
-  // zeros removed. tap_start is a CSR of size rows*taps+1 into ci/val;
-  // tap_off/tap_fy/tap_fx are per-tap input addressing (interior offset
-  // and tap coordinates for the border path). The streamed arrays
-  // (val/ci/col) are 64-byte aligned so vector loads never straddle a
-  // cache line at the base. Arrays are SharedBufs: built/owned at compile
-  // time, read-only views into the artifact's mmap'd weight section when
-  // the plan was loaded from the registry (so server processes share one
-  // physical copy of the gather plan instead of each decoding its own).
-  int taps = 0;  // fy * fx
-  SharedBuf<int32_t> tap_start;
-  SharedBuf<uint16_t> ci;       // input channel within the tap
-  SharedBuf<int32_t> tap_off;   // interior input offset: (fy*ix + fx)*c
-  SharedBuf<int16_t> tap_fy, tap_fx;
-
-  // Sparse FC: per output channel, the absolute input features of its
-  // non-zeros. row_start is a CSR of size rows+1 into col/val.
+  // Sparse conv/FC gather plan: per output channel, its non-zeros in
+  // ascending column order — the dense reference order with the zeros
+  // removed. row_start is a CSR of size rows+1 into col/val; a column is
+  // the non-zero's position in the dense weight row (conv: tap * C +
+  // channel < fsz, FC: input feature < C), so one row loop serves both
+  // families. The streamed arrays are 64-byte aligned so vector loads
+  // never straddle a cache line at the base. Arrays are SharedBufs:
+  // built/owned at compile time, read-only views into the artifact's
+  // mmap'd weight section when the plan was loaded from the registry (so
+  // server processes share one physical copy of the gather plan instead
+  // of each decoding its own); verify_plan bounds every column before a
+  // loaded plan runs.
   SharedBuf<int32_t> row_start;
-  SharedBuf<int32_t> col;
-
-  SharedBuf<int8_t> val;  // non-zero values, parallel to ci / col
+  SharedBuf<uint16_t> col;
+  SharedBuf<int8_t> val;  // non-zero values, parallel to col
 
   bool sparse() const {
     return impl == HostImpl::kSparseConv || impl == HostImpl::kSparseFc;
@@ -100,19 +92,20 @@ int host_select_instance_for_fc(HostImpl family, int tokens, int c, int k,
                                 int m);
 
 /// Build the dispatch for a conv node: sparse gather plan when `packed`
-/// is non-null (any NmLayout; logical offsets are decoded), blocked dense
-/// otherwise. The kernel instance is selected here, keyed on the node's
-/// geometry (channel divisibility, stride, interior width) and the host
-/// ISA — see nn/host_kernel_instances.hpp.
+/// is non-null (any NmLayout; logical offsets are decoded; fsz must fit
+/// the uint16 column index), blocked dense otherwise. The kernel instance
+/// is selected here, keyed on the node's geometry and the host ISA — see
+/// nn/host_kernel_instances.hpp.
 HostKernelDispatch host_dispatch_for_conv(const ConvGeom& g,
                                           const NmPacked* packed);
 
 /// Build the dispatch for an FC/matmul node over `c` input features and
 /// `rows` output channels; matmul passes packed == nullptr (weights are
-/// dynamic activations). `tokens` is the token count the plan will run
-/// the node with — it keys instance selection (the token-parallel sparse
-/// SIMD instance needs >= 16 tokens to pay for its transpose) but never
-/// correctness: every instance accepts any token range at run time.
+/// dynamic activations). A sparse `c` must fit the uint16 column index.
+/// `tokens` is the token count the plan will run the node with — it keys
+/// instance selection (the token-parallel sparse SIMD instance needs >= 16
+/// tokens to pay for its transpose) but never correctness: every instance
+/// accepts any token range at run time.
 HostKernelDispatch host_dispatch_for_fc(int rows, int c,
                                         const NmPacked* packed,
                                         int tokens = 1);

@@ -7,16 +7,18 @@
 //    2^32 exactly like the scalar reference accumulator. (pmaddubsw
 //    would be one instruction shorter but saturates its int16 sum — the
 //    classic trap this file deliberately avoids.)
-//  - sparse kernels are pixel-major: the input is transposed so each
-//    non-zero weight is broadcast-multiplied across 16 *contiguous*
-//    outputs (adjacent conv columns / adjacent FC tokens), turning the
-//    gather loop into sequential 16-byte loads. int16 product magnitude
-//    is bounded by 128*127, so mullo_epi16 is exact; widening to int32
-//    before accumulation keeps the wrap-exact contract.
+//  - sparse kernels (and the narrow-filter dense conv) are pixel-major:
+//    16 output pixels are im2col'd (16 FC tokens transposed) into a
+//    [cols][16] block, so each weight is broadcast-multiplied across 16
+//    *contiguous* bytes, and the gather loop is sequential 16-byte loads.
+//    int16 product magnitude is bounded by 128*127, so mullo_epi16 is
+//    exact; widening to int32 before accumulation keeps the wrap-exact
+//    contract.
 // Horizontal sums and lane splits only reorder int32 additions, which
 // are associative and commutative modulo 2^32 — any order is the
-// reference order. Scalar borders/remainders come from the private
-// copies of the scalar kernels in this TU (see host_kernels_impl.hpp).
+// reference order. Dense-conv borders and the FC token tail come from the
+// private copies of the scalar kernels in this TU (see
+// host_kernels_impl.hpp).
 //
 // This file is compiled with -mavx2 (CMake: DECIMATE_HAVE_AVX2_TU) and
 // its entry points are only selected/forced after CPUID reports AVX2.
@@ -79,6 +81,98 @@ struct Acc16 {
     for (int i = 0; i < n; ++i) out[i * stride] = rq.apply(tmp[i]);
   }
 };
+
+/// In-place 16x16 byte transpose: byte j of r[i] moves to byte i of r[j].
+/// Each round rotates every element's 8-bit (register, byte) address left
+/// by one bit; four rounds swap the register and byte halves.
+inline void transpose16x16(__m128i r[16]) {
+  for (int round = 0; round < 4; ++round) {
+    __m128i t[16];
+    for (int j = 0; j < 8; ++j) {
+      t[2 * j] = _mm_unpacklo_epi8(r[j], r[j + 8]);
+      t[2 * j + 1] = _mm_unpackhi_epi8(r[j], r[j + 8]);
+    }
+    for (int j = 0; j < 16; ++j) r[j] = t[j];
+  }
+}
+
+/// im2col_block at 16 lanes. With C % 16 == 0 every (tap, 16-channel
+/// group) is one transpose of 16 pixel rows, a padded tap reading the
+/// zero row `zeros` (>= C bytes); other channel counts take the scalar
+/// fill.
+inline void im2col16(const int8_t* in0, const ConvGeom& g, int q0, int n,
+                     const int8_t* zeros, int8_t* buf) {
+  if (g.c % 16 != 0) {
+    im2col_block(in0, g, q0, n, 16, buf);
+    return;
+  }
+  const int ox = g.ox();
+  int iy0[16], ix0[16];
+  for (int p = 0; p < 16; ++p) {
+    const int q = q0 + std::min(p, n - 1);
+    iy0[p] = (q / ox) * g.stride - g.pad;
+    ix0[p] = (q % ox) * g.stride - g.pad;
+  }
+  for (int fy = 0; fy < g.fy; ++fy) {
+    for (int fx = 0; fx < g.fx; ++fx) {
+      const int8_t* src[16];
+      for (int p = 0; p < 16; ++p) {
+        const int iy = iy0[p] + fy, ix = ix0[p] + fx;
+        src[p] = (iy < 0 || iy >= g.iy || ix < 0 || ix >= g.ix)
+                     ? zeros
+                     : in0 + (static_cast<int64_t>(iy) * g.ix + ix) * g.c;
+      }
+      int8_t* dst = buf + static_cast<int64_t>(fy * g.fx + fx) * g.c * 16;
+      for (int ch = 0; ch < g.c; ch += 16) {
+        __m128i r[16];
+        for (int p = 0; p < 16; ++p) {
+          r[p] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src[p] + ch));
+        }
+        transpose16x16(r);
+        for (int i = 0; i < 16; ++i) {
+          _mm_store_si128(reinterpret_cast<__m128i*>(dst + (ch + i) * 16),
+                          r[i]);
+        }
+      }
+    }
+  }
+}
+
+/// Walk the flattened output pixels of rows [oy_s, oy_e) in blocks of
+/// 16: im2col each block, then hand it to `rows(buf, n, out_block)` with
+/// n valid lanes, out_block pointing at the block's first output pixel.
+template <typename RowsFn>
+void conv_blocks16(const Tensor8& input, const ConvGeom& g, int oy_s,
+                   int oy_e, Tensor8& out, RowsFn&& rows) {
+  const int q_e = oy_e * g.ox();
+  const size_t block = static_cast<size_t>(g.fsz()) * 16;
+  // the block buffer, then a zero row of C bytes for padded taps
+  AlignedVec<int8_t> buf(block + static_cast<size_t>(g.c));
+  for (int q = oy_s * g.ox(); q < q_e; q += 16) {
+    const int n = std::min(16, q_e - q);
+    im2col16(input.data(), g, q, n, buf.data() + block, buf.data());
+    rows(buf.data(), n, out.data() + static_cast<int64_t>(q) * g.k);
+  }
+}
+
+/// The N:M row loop both sparse families share: for each output channel
+/// k in [k_s, k_e), one broadcast multiply per non-zero of row k against
+/// the column block buf[col][16]; the first n lanes are requantized into
+/// out[p * kk + k].
+inline void nm_rows16(const HostKernelDispatch& d, const int8_t* buf,
+                      const Tensor32& bias, const Requant& rq, int k_s,
+                      int k_e, int n, int8_t* out, int64_t kk) {
+  const int32_t* row_start = d.row_start.data();
+  const uint16_t* col = d.col.data();
+  const int8_t* val = d.val.data();
+  for (int k = k_s; k < k_e; ++k) {
+    Acc16 acc(bias[k]);
+    for (int e = row_start[k]; e < row_start[k + 1]; ++e) {
+      acc.mac(buf + static_cast<size_t>(col[e]) * 16, val[e]);
+    }
+    acc.store(rq, out + k, kk, n);
+  }
+}
 
 }  // namespace
 
@@ -178,87 +272,40 @@ void conv_dense_avx2(const HostKernelDispatch&, const Tensor8& input,
   }
 }
 
+void conv_dense_im2col_avx2(const HostKernelDispatch&, const Tensor8& input,
+                            const Tensor8& weights, const Tensor32& bias,
+                            const ConvGeom& g, const Requant& rq, int oy_s,
+                            int oy_e, int k_s, int k_e, Tensor8& out) {
+  // pixel-major dense: the filter row is too narrow for a 16-wide dot
+  // product (the 3x3 stem: FX * C = 12), so broadcast each weight across
+  // 16 im2col'd pixels instead
+  if (k_s >= k_e) return;
+  const int fsz = g.fsz();
+  const int8_t* w0 = weights.data();
+  conv_blocks16(input, g, oy_s, oy_e, out,
+                [&](const int8_t* buf, int n, int8_t* oblk) {
+                  for (int k = k_s; k < k_e; ++k) {
+                    const int8_t* wrow = w0 + static_cast<int64_t>(k) * fsz;
+                    Acc16 acc(bias[k]);
+                    for (int j = 0; j < fsz; ++j) {
+                      acc.mac(buf + static_cast<size_t>(j) * 16, wrow[j]);
+                    }
+                    acc.store(rq, oblk + k, g.k, n);
+                  }
+                });
+}
+
 void conv_nm_avx2(const HostKernelDispatch& d, const Tensor8& input,
-                  const Tensor8& weights, const Tensor32& bias,
-                  const ConvGeom& g, const Requant& rq, int oy_s, int oy_e,
-                  int k_s, int k_e, Tensor8& out) {
-  // pixel-major needs unit stride (adjacent outputs = adjacent inputs);
-  // other geometries run the scalar gather kernel of this TU
-  if (g.stride != 1 || oy_s >= oy_e || k_s >= k_e) {
-    sparse_conv_into(d, input, bias, g, rq, oy_s, oy_e, k_s, k_e, out);
-    return;
-  }
-  const int ox = g.ox(), kk = g.k, taps = d.taps;
-  const auto [x_lo, x_hi] = interior_range(g.ix, g.fx, g.stride, g.pad, ox);
-  const auto [y_lo, y_hi] =
-      interior_range(g.iy, g.fy, g.stride, g.pad, g.oy());
-  const int8_t* in0 = input.data();
-  (void)weights;  // sparse: the gather plan replaces the dense weights
-
-  // Transpose the input HWC -> CHW once: per non-zero (channel, value),
-  // 16 adjacent output columns then read 16 *contiguous* bytes of that
-  // channel's plane. The transpose costs one pass over the input and
-  // amortizes over k output channels of gather work.
-  // +16 slack: a partial remainder block's 16-byte load from the last
-  // channel's last row may read past the plane end; the slack lanes are
-  // never stored
-  const int64_t plane = static_cast<int64_t>(g.iy) * g.ix;
-  AlignedVec<int8_t> chw(static_cast<size_t>(plane) * g.c + 16);
-  for (int y = 0; y < g.iy; ++y) {
-    for (int x = 0; x < g.ix; ++x) {
-      const int8_t* px = in0 + (static_cast<int64_t>(y) * g.ix + x) * g.c;
-      const int64_t at = static_cast<int64_t>(y) * g.ix + x;
-      for (int ch = 0; ch < g.c; ++ch) chw[ch * plane + at] = px[ch];
-    }
-  }
-
-  for (int y = oy_s; y < oy_e; ++y) {
-    int8_t* out_y = out.data() + static_cast<int64_t>(y) * ox * kk;
-    const bool y_in = y >= y_lo && y < y_hi;
-    if (!y_in) {
-      for (int x = 0; x < ox; ++x) {
-        sparse_conv_pixel(d, in0, bias, g, rq, y, x, k_s, k_e,
-                          out_y + static_cast<int64_t>(x) * kk);
-      }
-      continue;
-    }
-    int x = 0;
-    for (; x < x_lo; ++x) {
-      sparse_conv_pixel(d, in0, bias, g, rq, y, x, k_s, k_e,
-                        out_y + static_cast<int64_t>(x) * kk);
-    }
-    // 16 adjacent interior columns share one decode of the non-zero
-    // stream; every non-zero is one contiguous 16-byte load + broadcast
-    // multiply into 16 int32 accumulators. The final partial block (>= 4
-    // columns) computes all 16 lanes and stores only the valid ones —
-    // narrow interiors (ResNet stages at 16x16 and 8x8) stay vectorized.
-    while (x < x_hi) {
-      const int lanes = std::min(16, x_hi - x);
-      if (lanes < 4) break;  // tiny tail: scalar wins
-      for (int k = k_s; k < k_e; ++k) {
-        Acc16 acc(bias[k]);
-        const int32_t* ts =
-            d.tap_start.data() + static_cast<size_t>(k) * taps;
-        for (int t = 0; t < taps; ++t) {
-          const int64_t row_off =
-              static_cast<int64_t>(y - g.pad + d.tap_fy[static_cast<size_t>(t)]) *
-                  g.ix +
-              (x - g.pad + d.tap_fx[static_cast<size_t>(t)]);
-          const int e_end = ts[t + 1];
-          for (int e = ts[t]; e < e_end; ++e) {
-            acc.mac(chw.data() + d.ci[static_cast<size_t>(e)] * plane + row_off,
-                    d.val[static_cast<size_t>(e)]);
-          }
-        }
-        acc.store(rq, out_y + static_cast<int64_t>(x) * kk + k, kk, lanes);
-      }
-      x += lanes;
-    }
-    for (; x < ox; ++x) {
-      sparse_conv_pixel(d, in0, bias, g, rq, y, x, k_s, k_e,
-                        out_y + static_cast<int64_t>(x) * kk);
-    }
-  }
+                  const Tensor8&, const Tensor32& bias, const ConvGeom& g,
+                  const Requant& rq, int oy_s, int oy_e, int k_s, int k_e,
+                  Tensor8& out) {
+  // the gather plan replaces the dense weights; every geometry runs the
+  // same im2col block + row loop (padding is zeros in the block)
+  if (k_s >= k_e) return;
+  conv_blocks16(input, g, oy_s, oy_e, out,
+                [&](const int8_t* buf, int n, int8_t* oblk) {
+                  nm_rows16(d, buf, bias, rq, k_s, k_e, n, oblk, g.k);
+                });
 }
 
 void fc_dense_avx2(const HostKernelDispatch&, const Tensor8& input,
@@ -365,18 +412,10 @@ void fc_nm_avx2(const HostKernelDispatch& d, const Tensor8& input,
       const int8_t* in = input.data() + static_cast<int64_t>(tb + p) * c;
       for (int i = 0; i < c; ++i) buf[static_cast<size_t>(i) * 16 + p] = in[i];
     }
-    int8_t* oblk = out.data() + static_cast<int64_t>(tb) * kk;
-    for (int ki = k_s; ki < k_e; ++ki) {
-      Acc16 acc(bias[ki]);
-      const int e_end = d.row_start[static_cast<size_t>(ki) + 1];
-      for (int e = d.row_start[static_cast<size_t>(ki)]; e < e_end; ++e) {
-        acc.mac(buf.data() + static_cast<size_t>(d.col[static_cast<size_t>(e)]) * 16,
-                d.val[static_cast<size_t>(e)]);
-      }
-      // partial block: lanes past the batch end hold the previous
-      // block's stale tokens — computed but never stored (exact)
-      acc.store(rq, oblk + ki, kk, lanes);
-    }
+    // partial block: lanes past the batch end hold the previous
+    // block's stale tokens — computed but never stored (exact)
+    nm_rows16(d, buf.data(), bias, rq, k_s, k_e, lanes,
+              out.data() + static_cast<int64_t>(tb) * kk, kk);
     tb += lanes;
   }
   // remaining tokens (< 4): this TU's scalar gather kernel

@@ -43,9 +43,9 @@ static inline std::pair<int, int> interior_range(int in_dim, int f,
 }
 
 // ---------------------------------------------------------------------------
-// Single-pixel scalar helpers: bounds-checked taps, so they are correct
-// for border AND interior pixels. The SIMD instances use these for edge
-// pixels and vector-width remainders.
+// Single-pixel dense helper: bounds-checked taps, so it is correct for
+// border AND interior pixels. The dense SIMD instances use it for edge
+// pixels.
 // ---------------------------------------------------------------------------
 
 static inline void dense_conv_pixel(const int8_t* in0, const int8_t* w0,
@@ -71,33 +71,6 @@ static inline void dense_conv_pixel(const int8_t* in0, const int8_t* w0,
       const int n = (fx_e - fx_s) * g.c;
       for (int i = 0; i < n; ++i) {
         acc += static_cast<int32_t>(in[i]) * static_cast<int32_t>(w[i]);
-      }
-    }
-    orow[k] = rq.apply(acc);
-  }
-}
-
-static inline void sparse_conv_pixel(const HostKernelDispatch& d,
-                                     const int8_t* in0, const Tensor32& bias,
-                                     const ConvGeom& g, const Requant& rq,
-                                     int y, int x, int k_s, int k_e,
-                                     int8_t* orow) {
-  const int64_t in_row = static_cast<int64_t>(g.ix) * g.c;
-  const int iy0 = y * g.stride - g.pad;
-  const int ix0 = x * g.stride - g.pad;
-  const int taps = d.taps;
-  for (int k = k_s; k < k_e; ++k) {
-    int32_t acc = bias[k];
-    const int32_t* ts = d.tap_start.data() + static_cast<size_t>(k) * taps;
-    for (int t = 0; t < taps; ++t) {
-      const int iy = iy0 + d.tap_fy[static_cast<size_t>(t)];
-      const int ix = ix0 + d.tap_fx[static_cast<size_t>(t)];
-      if (iy < 0 || iy >= g.iy || ix < 0 || ix >= g.ix) continue;
-      const int8_t* p = in0 + iy * in_row + static_cast<int64_t>(ix) * g.c;
-      const int e_end = ts[t + 1];
-      for (int e = ts[t]; e < e_end; ++e) {
-        acc += static_cast<int32_t>(p[d.ci[static_cast<size_t>(e)]]) *
-               static_cast<int32_t>(d.val[static_cast<size_t>(e)]);
       }
     }
     orow[k] = rq.apply(acc);
@@ -259,10 +232,48 @@ static inline void dense_conv_into(const Tensor8& input,
 }
 
 // ---------------------------------------------------------------------------
-// Sparse N:M conv: per output element, walk only the filter taps and the
-// non-zeros each tap holds — cols/M MACs per output instead of cols.
-// Skipped weights are exact zeros, so the int32 accumulator matches the
-// dense reference bit for bit.
+// im2col pixel blocks. The sparse conv instances (and the dense
+// pixel-major AVX2 one) compute `lanes` output pixels at once from a
+// [fsz][lanes] buffer whose row tap * C + ch holds input channel ch under
+// filter tap `tap` for every pixel of the block. That is the dense weight
+// column order, so a gather column indexes the buffer directly and conv
+// runs the same row loop as FC.
+// ---------------------------------------------------------------------------
+
+/// Fill buf[fsz][lanes] for the flattened output pixels [q0, q0 + n)
+/// (q = y * OX + x; a block may span output rows). A tap that reaches
+/// into the padding reads zero, at any stride. Lanes p >= n replicate
+/// pixel q0 + n - 1, so a partial block computes on defined bytes.
+static inline void im2col_block(const int8_t* in0, const ConvGeom& g, int q0,
+                                int n, int lanes, int8_t* buf) {
+  const int ox = g.ox();
+  for (int p = 0; p < lanes; ++p) {
+    const int q = q0 + std::min(p, n - 1);
+    const int iy0 = (q / ox) * g.stride - g.pad;
+    const int ix0 = (q % ox) * g.stride - g.pad;
+    int8_t* dst = buf + p;
+    for (int fy = 0; fy < g.fy; ++fy) {
+      const int iy = iy0 + fy;
+      for (int fx = 0; fx < g.fx; ++fx) {
+        const int ix = ix0 + fx;
+        if (iy < 0 || iy >= g.iy || ix < 0 || ix >= g.ix) {
+          for (int ch = 0; ch < g.c; ++ch, dst += lanes) *dst = 0;
+          continue;
+        }
+        const int8_t* src =
+            in0 + (static_cast<int64_t>(iy) * g.ix + ix) * g.c;
+        for (int ch = 0; ch < g.c; ++ch, dst += lanes) *dst = src[ch];
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sparse N:M conv: im2col 4 output pixels at a time, then walk each
+// output channel's non-zeros once for all 4 — cols/M MACs per output
+// instead of cols, and the per-non-zero decode amortized 4x. Skipped
+// weights are exact zeros, so the int32 accumulator matches the dense
+// reference bit for bit.
 // ---------------------------------------------------------------------------
 
 static inline void sparse_conv_into(const HostKernelDispatch& d,
@@ -270,90 +281,28 @@ static inline void sparse_conv_into(const HostKernelDispatch& d,
                                     const Tensor32& bias, const ConvGeom& g,
                                     const Requant& rq, int oy_s, int oy_e,
                                     int k_s, int k_e, Tensor8& out) {
-  const int ox = g.ox(), kk = g.k;
-  const int64_t in_row = static_cast<int64_t>(g.ix) * g.c;
-  const auto [x_lo, x_hi] = interior_range(g.ix, g.fx, g.stride, g.pad, ox);
-  const auto [y_lo, y_hi] =
-      interior_range(g.iy, g.fy, g.stride, g.pad, g.oy());
-  const int8_t* in0 = input.data();
-  const int taps = d.taps;
-  const int sc = g.stride * g.c;  // input step between adjacent out pixels
-
-  // single interior pixel: walk only the taps' non-zeros
-  const auto interior_pixel = [&](const int8_t* in_base, int8_t* orow) {
+  constexpr int kLanes = 4;
+  if (k_s >= k_e) return;
+  const int kk = g.k, q_e = oy_e * g.ox();
+  const int32_t* row_start = d.row_start.data();
+  const uint16_t* col = d.col.data();
+  const int8_t* val = d.val.data();
+  AlignedVec<int8_t> buf(static_cast<size_t>(g.fsz()) * kLanes);
+  for (int q = oy_s * g.ox(); q < q_e; q += kLanes) {
+    const int n = std::min(kLanes, q_e - q);
+    im2col_block(input.data(), g, q, n, kLanes, buf.data());
+    int8_t* oblk = out.data() + static_cast<int64_t>(q) * kk;
     for (int k = k_s; k < k_e; ++k) {
-      int32_t acc = bias[k];
-      const int32_t* ts = d.tap_start.data() + static_cast<size_t>(k) * taps;
-      for (int t = 0; t < taps; ++t) {
-        const int8_t* p = in_base + d.tap_off[static_cast<size_t>(t)];
-        const int e_end = ts[t + 1];
-        for (int e = ts[t]; e < e_end; ++e) {
-          acc += static_cast<int32_t>(p[d.ci[static_cast<size_t>(e)]]) *
-                 static_cast<int32_t>(d.val[static_cast<size_t>(e)]);
-        }
+      int32_t a[kLanes] = {bias[k], bias[k], bias[k], bias[k]};
+      for (int e = row_start[k]; e < row_start[k + 1]; ++e) {
+        const int32_t v = val[e];
+        const int8_t* b = buf.data() + static_cast<size_t>(col[e]) * kLanes;
+        a[0] += static_cast<int32_t>(b[0]) * v;
+        a[1] += static_cast<int32_t>(b[1]) * v;
+        a[2] += static_cast<int32_t>(b[2]) * v;
+        a[3] += static_cast<int32_t>(b[3]) * v;
       }
-      orow[k] = rq.apply(acc);
-    }
-  };
-
-  // 4 adjacent interior pixels share one (index, value) stream walk —
-  // the per-non-zero decode cost amortizes 4x, which is what lets an
-  // M=4 layer actually run near cols/4 cost
-  const auto interior_block4 = [&](const int8_t* in_base, int8_t* orow) {
-    for (int k = k_s; k < k_e; ++k) {
-      const int32_t b = bias[k];
-      int32_t a0 = b, a1 = b, a2 = b, a3 = b;
-      const int32_t* ts = d.tap_start.data() + static_cast<size_t>(k) * taps;
-      for (int t = 0; t < taps; ++t) {
-        const int8_t* p = in_base + d.tap_off[static_cast<size_t>(t)];
-        const int e_end = ts[t + 1];
-        for (int e = ts[t]; e < e_end; ++e) {
-          const int32_t v = d.val[static_cast<size_t>(e)];
-          const int idx = d.ci[static_cast<size_t>(e)];
-          a0 += static_cast<int32_t>(p[idx]) * v;
-          a1 += static_cast<int32_t>(p[idx + sc]) * v;
-          a2 += static_cast<int32_t>(p[idx + 2 * sc]) * v;
-          a3 += static_cast<int32_t>(p[idx + 3 * sc]) * v;
-        }
-      }
-      orow[k] = rq.apply(a0);
-      orow[kk + k] = rq.apply(a1);
-      orow[2 * kk + k] = rq.apply(a2);
-      orow[3 * kk + k] = rq.apply(a3);
-    }
-  };
-
-  const auto border_pixel = [&](int y, int x, int8_t* orow) {
-    sparse_conv_pixel(d, in0, bias, g, rq, y, x, k_s, k_e, orow);
-  };
-
-  for (int y = oy_s; y < oy_e; ++y) {
-    int8_t* out_y = out.data() + static_cast<int64_t>(y) * ox * kk;
-    const bool y_in = y >= y_lo && y < y_hi;
-    const int iy0 = y * g.stride - g.pad;
-    if (!y_in) {
-      for (int x = 0; x < ox; ++x) {
-        border_pixel(y, x, out_y + static_cast<int64_t>(x) * kk);
-      }
-      continue;
-    }
-    int x = 0;
-    for (; x < x_lo; ++x) {
-      border_pixel(y, x, out_y + static_cast<int64_t>(x) * kk);
-    }
-    const int8_t* row_base = in0 + iy0 * in_row;
-    for (; x + 3 < x_hi; x += 4) {
-      interior_block4(
-          row_base + static_cast<int64_t>(x * g.stride - g.pad) * g.c,
-          out_y + static_cast<int64_t>(x) * kk);
-    }
-    for (; x < x_hi; ++x) {
-      interior_pixel(
-          row_base + static_cast<int64_t>(x * g.stride - g.pad) * g.c,
-          out_y + static_cast<int64_t>(x) * kk);
-    }
-    for (; x < ox; ++x) {
-      border_pixel(y, x, out_y + static_cast<int64_t>(x) * kk);
+      for (int p = 0; p < n; ++p) oblk[p * kk + k] = rq.apply(a[p]);
     }
   }
 }
@@ -534,6 +483,10 @@ void conv_dense_avx2(const HostKernelDispatch& d, const Tensor8& input,
                      const Tensor8& weights, const Tensor32& bias,
                      const ConvGeom& g, const Requant& rq, int oy_s, int oy_e,
                      int k_s, int k_e, Tensor8& out);
+void conv_dense_im2col_avx2(const HostKernelDispatch& d, const Tensor8& input,
+                            const Tensor8& weights, const Tensor32& bias,
+                            const ConvGeom& g, const Requant& rq, int oy_s,
+                            int oy_e, int k_s, int k_e, Tensor8& out);
 void conv_nm_avx2(const HostKernelDispatch& d, const Tensor8& input,
                   const Tensor8& weights, const Tensor32& bias,
                   const ConvGeom& g, const Requant& rq, int oy_s, int oy_e,

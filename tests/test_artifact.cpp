@@ -2,8 +2,9 @@
 // round-trips that must be bit-exact across every execution path
 // (ExecutionEngine::run, pipelined run_batch, MultiClusterEngine shard),
 // the admission gate (truncation, bit flips, version skew, forged
-// fingerprints), concurrent loads, graph ownership of loaded plans, and
-// the PlanStore registry tier's zero-compile / zero-ISS cold start.
+// fingerprints, out-of-range gather columns), concurrent loads, graph
+// ownership of loaded plans, and the PlanStore registry tier's
+// zero-compile / zero-ISS cold start.
 
 #include <gtest/gtest.h>
 
@@ -329,6 +330,92 @@ TEST(PlanArtifact, RejectsForgedFingerprint) {
     FAIL() << "forged fingerprint was admitted";
   } catch (const VerifyError& e) {
     EXPECT_TRUE(e.report().has("artifact.fingerprint"));
+  }
+}
+
+/// A copy of `plan` whose first sparse step gathers from column 65535,
+/// past the end of any dense weight row in these models.
+CompiledPlan with_out_of_range_column(const CompiledPlan& plan) {
+  CompiledPlan bad = plan;
+  for (PlanStep& s : bad.steps) {
+    if (!s.host.sparse()) continue;
+    SharedBuf<uint16_t> col;  // own copy: plan copies share payloads
+    for (const uint16_t c : s.host.col) col.push_back(c);
+    col[0] = 65535;
+    s.host.col = col;
+    return bad;
+  }
+  ADD_FAILURE() << "plan has no sparse step";
+  return bad;
+}
+
+TEST(PlanArtifact, RejectsOutOfRangeGatherColumn) {
+  // the gather columns index the kernels' block buffers directly (FC
+  // tokens, conv im2col pixels): one out of range is refused by
+  // verify_plan, whether in memory or edited into a re-sealed artifact
+  for (const bool conv : {false, true}) {
+    const Graph g = conv ? scaled_resnet18(16) : small_ffn();
+    const CompiledPlan plan = compile_plan(g, isa_options());
+    const char* model = conv ? "resnet18" : "ffn";
+
+    const CompiledPlan bad = with_out_of_range_column(plan);
+    EXPECT_TRUE(verify_plan(bad).has("host.gather")) << model;
+    EXPECT_THROW(artifact::load_plan_from_bytes(artifact::serialize_plan(bad),
+                                                "bad-col"),
+                 VerifyError)
+        << model;
+
+    // locate the first sparse step's stored columns through a mapped load
+    TempDir dir;
+    fs::create_directories(dir.path);
+    const std::string path = dir.path + "/plan.plan";
+    Corruptible a(plan);
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(a.bytes.data()),
+               static_cast<std::streamsize>(a.bytes.size()));
+    const auto file = MappedFile::open(path);
+    ASSERT_NE(file, nullptr);
+    size_t col_at = 0;
+    for (const PlanStep& s : artifact::load_plan(file).steps) {
+      if (!s.host.sparse()) continue;
+      col_at = static_cast<size_t>(
+          reinterpret_cast<const uint8_t*>(s.host.col.data()) - file->data());
+      break;
+    }
+    ASSERT_GT(col_at, 0u) << model;
+    a.bytes[col_at] = 0xff;
+    a.bytes[col_at + 1] = 0xff;
+
+    // re-seal: the weight section's CRC in its table entry (the fourth
+    // entry after magic, version, both fingerprints and the count), then
+    // the header CRC over everything before it
+    const auto put_u32 = [&](size_t at, uint32_t v) {
+      for (size_t i = 0; i < 4; ++i) {
+        a.bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
+      }
+    };
+    const auto get_u64 = [&](size_t at) {
+      uint64_t v = 0;
+      for (size_t i = 0; i < 8; ++i) {
+        v |= static_cast<uint64_t>(a.bytes[at + i]) << (8 * i);
+      }
+      return v;
+    };
+    const size_t entry = 4 + 4 + 8 + 8 + 4 + 3 * (1 + 8 + 8 + 4);
+    const uint64_t off = get_u64(entry + 1), size = get_u64(entry + 9);
+    put_u32(entry + 17,
+            serde::crc32(std::span<const uint8_t>(a.bytes).subspan(
+                static_cast<size_t>(off), static_cast<size_t>(size))));
+    put_u32(artifact::kHeaderBytes - 4,
+            serde::crc32(std::span<const uint8_t>(a.bytes).first(
+                artifact::kHeaderBytes - 4)));
+    ASSERT_TRUE(artifact::verify_artifact(a.bytes, "resealed").ok()) << model;
+    try {
+      artifact::load_plan_from_bytes(a.bytes, "resealed");
+      FAIL() << model << ": out-of-range gather column was admitted";
+    } catch (const VerifyError& e) {
+      EXPECT_TRUE(e.report().has("host.gather")) << model;
+    }
   }
 }
 

@@ -253,8 +253,10 @@ TEST(Exec, HostKernelDispatchBitExactOnVit) {
 }
 
 TEST(Exec, IntraImageThreadingBitExactOnResnet18AndVit) {
-  // splitting each gemm step's output rows (conv) / tokens or channels
-  // (FC, matmul) across the pool must be bit-identical to the serial
+  // splitting each gemm step's output rows or channels (conv: channels
+  // once a row part is narrower than the kernel's pixel block, as on the
+  // scaled model's 4x4 and 2x2 planes) / tokens or channels (FC, matmul)
+  // across the pool must be bit-identical to the serial
   // path — outputs AND reports — at any thread count, with the MAC floor
   // zeroed so even the tiniest steps take the parallel path. Both entry
   // points split: run() (set_intra_image_threads) and a one-image

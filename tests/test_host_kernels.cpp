@@ -2,8 +2,9 @@
 // dense kernels must be bit-identical to the scalar reference ops — full
 // range, arbitrary ranged slices (which must stitch exactly), and the
 // reduction-split partial sums — across M in {4, 8, 16}, every NmPacked
-// layout, and stride/pad edge cases. Plus the WorkerPool the engines run
-// them on.
+// layout, stride/pad edge cases and ResNet18's served conv shapes; and
+// the served models select no scalar instance on an AVX2 host. Plus the
+// WorkerPool the engines run them on.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,9 @@
 
 #include "common/aligned.hpp"
 #include "common/rng.hpp"
+#include "exec/compile.hpp"
 #include "exec/worker_pool.hpp"
+#include "models/models.hpp"
 #include "nn/host_kernel_instances.hpp"
 #include "nn/host_kernels.hpp"
 #include "nn/prune.hpp"
@@ -43,6 +46,24 @@ const std::vector<ConvCase> kConvCases = {
     {{6, 6, 32, 10, 5, 5, 1, 2}, "5x5"},
     {{5, 5, 16, 3, 5, 5, 1, 4}, "pad4 tiny"},
 };
+
+// ResNet18's served 3x3 conv shapes (32x32 input): the 32x32 stage, the
+// stride-2 stage entry, and the 8x8 and 4x4 planes whose 16-pixel blocks
+// span output rows (a 4x4 plane is exactly one block)
+const std::vector<ConvCase> kServedConvCases = {
+    {{32, 32, 64, 64, 3, 3, 1, 1}, "resnet18 32x32x64"},
+    {{32, 32, 64, 128, 3, 3, 2, 1}, "resnet18 32->16 stride2"},
+    {{8, 8, 256, 256, 3, 3, 1, 1}, "resnet18 8x8x256"},
+    {{4, 4, 512, 512, 3, 3, 1, 1}, "resnet18 4x4x512"},
+};
+
+/// Contiguous part i of `parts` over [0, n) — the engine's intra-image
+/// split (parts beyond n come out empty).
+std::pair<int, int> chunk(int n, int parts, int i) {
+  const int base = n / parts, rem = n % parts;
+  const int lo = i * base + std::min(i, rem);
+  return {lo, lo + base + (i < rem ? 1 : 0)};
+}
 
 Tensor8 conv_weights(const ConvGeom& g, int m, Rng& rng) {
   return m == 0 ? random_weights(g.k, g.fsz(), rng)
@@ -99,6 +120,42 @@ TEST(HostKernels, ConvRangedSlicesStitchBitExactly) {
                             k_r.first, k_r.second, out);
       }
       EXPECT_TRUE(out == ref) << cc.tag << " m=" << m;
+    }
+  }
+
+  // the served sparse shapes at M=16, cut the way the engine's
+  // intra-image path cuts them: 2..5 row parts, or 2..5 output-channel
+  // parts, through every sparse conv instance this CPU runs
+  for (const ConvCase& cc : kServedConvCases) {
+    const ConvGeom& g = cc.g;
+    const Tensor8 input = Tensor8::random({g.iy, g.ix, g.c}, rng);
+    const Tensor32 bias = random_bias(g.k, rng);
+    const Requant rq = test_requant();
+    const Tensor8 w = conv_weights(g, 16, rng);
+    const Tensor8 ref = conv2d_s8(input, w, bias, g, rq);
+    HostKernelDispatch d = conv_dispatch(g, w, 16);
+    for (int id = 0; id < host_instance_count(); ++id) {
+      const HostInstanceInfo& info = host_instance_info(id);
+      if (info.family != d.impl || info.isa > host_isa_detected()) continue;
+      host_force_instance(d, id);
+      for (int parts = 2; parts <= 5; ++parts) {
+        for (const bool by_rows : {true, false}) {
+          Tensor8 out({g.oy(), g.ox(), g.k});
+          for (int i = 0; i < parts; ++i) {
+            const auto [lo, hi] = chunk(by_rows ? g.oy() : g.k, parts, i);
+            if (by_rows) {
+              host_conv2d_s8_into(d, input, w, bias, g, rq, lo, hi, 0, g.k,
+                                  out);
+            } else {
+              host_conv2d_s8_into(d, input, w, bias, g, rq, 0, g.oy(), lo,
+                                  hi, out);
+            }
+          }
+          ASSERT_TRUE(out == ref)
+              << cc.tag << " instance=" << info.name << " parts=" << parts
+              << (by_rows ? " rows" : " channels");
+        }
+      }
     }
   }
 }
@@ -250,7 +307,7 @@ TEST(HostKernels, BackingStorageIs64ByteAligned) {
   const NmPacked packed = nm_pack(w.flat(), g.k, g.fsz(), 4, NmLayout::kSw);
   const HostKernelDispatch d = host_dispatch_for_conv(g, &packed);
   EXPECT_TRUE(host_aligned(d.val.data()));
-  EXPECT_TRUE(host_aligned(d.ci.data()));
+  EXPECT_TRUE(host_aligned(d.col.data()));
   const HostKernelDispatch df = host_dispatch_for_fc(10, 64, nullptr);
   (void)df;
   const Tensor8 wf = random_sparse_weights(10, 64, 4, rng);
@@ -269,25 +326,38 @@ struct IsaCapGuard {
 
 // Every registry instance runnable on this CPU, forced onto every
 // geometry of its family — including ones its selection predicate would
-// route away from (c % 16 != 0, width-1 interiors, stride 2, M=2) — must
-// be bit-identical to the scalar reference. Predicates are performance
-// heuristics, never correctness gates.
+// route away from (c % 16 != 0, width-1 interiors, stride 2, M=2, a
+// partial last pixel block) — must be bit-identical to the scalar
+// reference. Predicates are performance heuristics, never correctness
+// gates. ResNet18's served shapes run at the M it serves (16) and its
+// dense stem at M=0.
 TEST(HostKernels, EveryConvInstanceBitExactOnOddGeometries) {
   Rng rng(201);
-  const std::vector<ConvCase> cases = {
-      {{8, 8, 16, 8, 3, 3, 1, 1}, "3x3 pad1"},
-      {{8, 8, 20, 6, 3, 3, 1, 1}, "c=20 not divisible by 16"},
-      {{3, 3, 16, 4, 3, 3, 1, 1}, "width-1 interior"},
-      {{8, 8, 16, 8, 3, 3, 2, 1}, "stride2 (sparse pix16 self-gates)"},
-      {{7, 9, 24, 5, 3, 5, 1, 2}, "non-square 3x5"},
-      {{6, 6, 4, 7, 1, 1, 1, 0}, "1x1 c=4 scalar-tail only"},
+  struct Case {
+    ConvGeom g;
+    const char* tag;
+    std::vector<int> ms;
   };
-  for (const ConvCase& cc : cases) {
+  const std::vector<int> all_m = {0, 2, 4, 8, 16};
+  std::vector<Case> cases = {
+      {{8, 8, 16, 8, 3, 3, 1, 1}, "3x3 pad1", all_m},
+      {{8, 8, 20, 6, 3, 3, 1, 1}, "c=20 not divisible by 16", all_m},
+      {{3, 3, 16, 4, 3, 3, 1, 1}, "width-1 interior", all_m},
+      {{8, 8, 16, 8, 3, 3, 2, 1}, "stride2", all_m},
+      {{7, 9, 24, 5, 3, 5, 1, 2}, "non-square 3x5", all_m},
+      {{6, 6, 4, 7, 1, 1, 1, 0}, "1x1 c=4 scalar-tail only", all_m},
+      {{5, 7, 32, 6, 3, 3, 2, 1}, "4x3 out stride2: one partial block", all_m},
+      {{32, 32, 4, 64, 3, 3, 1, 1}, "resnet18 stem", {0}},
+  };
+  for (const ConvCase& cc : kServedConvCases) {
+    cases.push_back({cc.g, cc.tag, {16}});
+  }
+  for (const Case& cc : cases) {
     const ConvGeom& g = cc.g;
     const Tensor8 input = Tensor8::random({g.iy, g.ix, g.c}, rng);
     const Tensor32 bias = random_bias(g.k, rng);
     const Requant rq = test_requant();
-    for (const int m : {0, 2, 4, 8, 16}) {
+    for (const int m : cc.ms) {
       if (m != 0 && g.fsz() % m != 0) continue;
       const Tensor8 w = conv_weights(g, m, rng);
       const Tensor8 ref = conv2d_s8(input, w, bias, g, rq);
@@ -386,6 +456,42 @@ TEST(HostKernels, ScalarIsaCapForcesScalarSelectionBitExactly) {
     EXPECT_TRUE(host_conv2d_s8(d, input, w, bias, g, rq) ==
                 conv2d_s8(input, w, bias, g, rq))
         << "m=" << m;
+  }
+}
+
+// The served models never fall back to a scalar kernel on a host with
+// AVX2: every conv and FC step of full ResNet18 (dense and 1:4/1:8/1:16)
+// and of the ViT FFN block (dense and 1:8) selects a SIMD instance.
+TEST(HostKernels, ServedModelsSelectNoScalarInstanceOnAvx2) {
+  bool avx2_built = false;
+  for (int id = 0; id < host_instance_count(); ++id) {
+    avx2_built = avx2_built || host_instance_info(id).isa == HostIsa::kAvx2;
+  }
+  if (!avx2_built || host_isa_detected() < HostIsa::kAvx2) {
+    GTEST_SKIP() << "no AVX2 instances in this build or on this host";
+  }
+  const auto cache = std::make_shared<TileLatencyCache>();
+  std::vector<std::pair<std::string, Graph>> models;
+  for (const int m : {0, 4, 8, 16}) {
+    Resnet18Options opt;
+    opt.sparsity_m = m;
+    models.emplace_back("resnet18 m=" + std::to_string(m),
+                        build_resnet18(opt));
+  }
+  for (const int m : {0, 8}) {
+    models.emplace_back("ffn m=" + std::to_string(m),
+                        build_ffn_block(196, 384, 1536, m, 11));
+  }
+  for (const auto& [name, graph] : models) {
+    const CompiledPlan plan = Compiler(CompileOptions{}, cache).compile(graph);
+    for (const PlanStep& step : plan.steps) {
+      const OpType op = graph.node(step.node_id).op;
+      if (op != OpType::kConv2d && op != OpType::kFc) continue;
+      const std::string instance = host_instance_name(step.host);
+      EXPECT_EQ(instance.find("scalar"), std::string::npos)
+          << name << " " << graph.node(step.node_id).name << " selects "
+          << instance;
+    }
   }
 }
 
