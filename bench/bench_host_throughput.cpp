@@ -3,9 +3,9 @@
 // of the host execution path — reference scalar ops vs the
 // HostKernelDispatch instance library (SIMD blocked dense, N:M sparse
 // gather) — across ResNet18 and the ViT FFN block, dense and sparse M in
-// {4,8,16}, in four deployment shapes: single-image engine.run,
-// intra-image threaded engine.run, pipelined engine.run_batch, and
-// MultiClusterEngine-sharded. Every host output is asserted bit-identical
+// {4,8,16}, in three deployment shapes: single-image engine.run, a
+// one-image engine.run_batch split over every hardware thread, and a
+// pipelined engine.run_batch. Every host output is asserted bit-identical
 // to the reference-kernel output.
 // A second table micro-benches every registry kernel instance runnable on
 // this CPU (ns/MAC on a representative geometry of its family).
@@ -36,7 +36,6 @@
 #include "exec/engine.hpp"
 #include "nn/host_kernel_instances.hpp"
 #include "nn/ref_ops.hpp"
-#include "shard/multi_cluster_engine.hpp"
 #include "trace/trace.hpp"
 
 using namespace decimate;
@@ -46,7 +45,7 @@ namespace {
 struct Row {
   std::string model;
   int m = 0;  // 0 = dense
-  std::string mode;  // ref | host | host_mt | host_batch | host_shard
+  std::string mode;  // ref | host | host_mt | host_batch
   double ms_per_img = 0.0;
   double img_per_s = 0.0;
   double ns_per_mac = 0.0;   // dense-equivalent MACs
@@ -72,7 +71,6 @@ struct BenchConfig {
   bool smoke = false;
   int reps = 3;
   int batch = 8;
-  int clusters = 4;
 };
 
 /// One (model, m) workload through every mode, appending rows.
@@ -91,11 +89,6 @@ void bench_workload(const std::string& name, const Graph& graph,
   CompileOptions opt;  // SW kernel selection: sparse steps pack kSw layout
   Compiler compiler(opt, cache);
   const CompiledPlan plan = compiler.compile(graph);
-
-  CompileOptions shard_opt = opt;
-  shard_opt.num_clusters = cfg.clusters;
-  Compiler shard_compiler(shard_opt, cache);
-  const CompiledPlan shard_plan = shard_compiler.compile(graph);
 
   ExecutionEngine ref_engine;
   ref_engine.set_use_host_kernels(false);
@@ -145,22 +138,13 @@ void bench_workload(const std::string& name, const Graph& graph,
   }
   add_row("host_batch", batch_s / cfg.batch, ref_s, batch_exact);
 
-  // --- host_mt: intra-image threaded single image ------------------------
-  ExecutionEngine mt_engine;
-  mt_engine.set_intra_image_threads(0);  // hardware concurrency
+  // --- host_mt: one-image run_batch, split over every hardware thread ---
+  ExecutionEngine mt_engine;  // workers default to hardware concurrency
   Tensor8 mt_out;
   const double mt_s = time_best_s(cfg.reps, [&] {
-    mt_out = mt_engine.run(plan, input).output;
+    mt_out = mt_engine.run_batch(plan, {&input, 1}).runs[0].output;
   });
   add_row("host_mt", mt_s, ref_s, mt_out == ref_run.output);
-
-  // --- host_shard: MultiClusterEngine slices, single image ---------------
-  MultiClusterEngine mce(cfg.clusters);
-  Tensor8 shard_out;
-  const double shard_s = time_best_s(cfg.reps, [&] {
-    shard_out = mce.run(shard_plan, input).run.output;
-  });
-  add_row("host_shard", shard_s, ref_s, shard_out == ref_run.output);
 }
 
 // ---------------------------------------------------------------------------
@@ -396,7 +380,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       cfg.smoke = true;
       cfg.batch = 4;
-      cfg.clusters = 2;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace-gate") == 0) {

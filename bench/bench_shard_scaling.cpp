@@ -1,10 +1,11 @@
 // Multi-cluster sharding scaling: modeled critical-path cycles/image,
-// speedup over the single-cluster engine, per-cluster utilization and
+// speedup over the single-cluster plan, per-cluster utilization and
 // interconnect/reduction overhead for 1/2/4/8 clusters on ResNet18
 // (conv-dominated, OY/channel tile shards) and the ViT FFN block
-// (FC-dominated, token/K tile shards). Every sharded output is verified
-// bit-exact against the single-cluster ExecutionEngine — the bench fails
-// hard on a mismatch. Results land in BENCH_shard.json.
+// (FC-dominated, token/K tile shards), read from each ShardPlanner
+// schedule. Every schedule must pass verify_shard with zero findings
+// (slices disjoint and complete, cycle totals consistent) — the bench
+// fails hard otherwise. Results land in BENCH_shard.json.
 //
 //   ./bench_shard_scaling [--smoke] [--out PATH]
 //
@@ -19,8 +20,8 @@
 
 #include "bench_util.hpp"
 #include "exec/compile.hpp"
-#include "exec/engine.hpp"
-#include "shard/multi_cluster_engine.hpp"
+#include "shard/shard_planner.hpp"
+#include "verify/verify.hpp"
 
 using namespace decimate;
 
@@ -35,26 +36,19 @@ struct Row {
   double speedup = 0.0;       // baseline / critical (cross-plan)
   double self_speedup = 0.0;  // same-plan unsharded / critical
   double avg_utilization = 0.0;
-  bool bit_exact = false;
+  bool verified = false;  // verify_shard found nothing
 };
 
 /// Shard `graph` across every cluster count: one shard-aware compile per
 /// count (shared latency cache — tiles re-simulate only for new shapes),
-/// executed by MultiClusterEngine and checked against the single-cluster
-/// reference output.
+/// scheduled by ShardPlanner and checked by verify_shard.
 void scale_model(const std::string& name, const Graph& graph,
-                 const std::vector<int>& in_shape,
                  const std::vector<int>& cluster_counts,
                  std::vector<Row>& rows) {
-  Rng rng(17);
-  const Tensor8 input = Tensor8::random(in_shape, rng);
-
   CompileOptions base;
   base.enable_isa = true;
   Compiler baseline_compiler(base);
   const CompiledPlan baseline_plan = baseline_compiler.compile(graph);
-  ExecutionEngine engine;
-  const NetworkRun baseline = engine.run(baseline_plan, input);
   const auto cache = baseline_compiler.shared_latencies();
 
   for (int n : cluster_counts) {
@@ -62,20 +56,25 @@ void scale_model(const std::string& name, const Graph& graph,
     opt.num_clusters = n;
     Compiler compiler(opt, cache);
     const CompiledPlan plan = compiler.compile(graph);
-    MultiClusterEngine mce(n);
-    const ShardedRun sharded = mce.run(plan, input);
+    const ShardPlan sp = ShardPlanner(n).plan(plan);
+    const VerifyReport report = verify_shard(plan, sp);
+    if (!report.clean()) {
+      std::cerr << name << " at " << n << " clusters: " << report.to_string()
+                << "\n";
+    }
 
     Row row;
     row.model = name;
     row.clusters = n;
-    row.critical_cycles = sharded.critical_path_cycles;
+    row.critical_cycles = sp.critical_path_cycles;
     row.single_cluster_cycles = baseline_plan.total_cycles;
-    row.reduction_cycles = sharded.reduction_cycles;
+    row.reduction_cycles = sp.reduction_cycles;
     row.speedup = static_cast<double>(baseline_plan.total_cycles) /
-                  static_cast<double>(sharded.critical_path_cycles);
-    row.self_speedup = sharded.speedup();
-    row.avg_utilization = sharded.avg_utilization();
-    row.bit_exact = sharded.run.output == baseline.output;
+                  static_cast<double>(sp.critical_path_cycles);
+    row.self_speedup = static_cast<double>(plan.total_cycles) /
+                       static_cast<double>(sp.critical_path_cycles);
+    row.avg_utilization = sp.avg_utilization();
+    row.verified = report.clean();
     rows.push_back(row);
   }
 }
@@ -93,7 +92,7 @@ void emit_json(std::ostream& os, bool smoke, const std::vector<Row>& rows) {
        << ", \"speedup\": " << r.speedup
        << ", \"self_speedup\": " << r.self_speedup
        << ", \"avg_utilization\": " << r.avg_utilization
-       << ", \"bit_exact\": " << (r.bit_exact ? "true" : "false") << "}"
+       << ", \"verified\": " << (r.verified ? "true" : "false") << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -121,33 +120,31 @@ int main(int argc, char** argv) {
   Resnet18Options mopt;
   mopt.sparsity_m = 8;
   mopt.input_hw = smoke ? 16 : 32;
-  scale_model("resnet18", build_resnet18(mopt),
-              {mopt.input_hw, mopt.input_hw, 4}, cluster_counts, rows);
+  scale_model("resnet18", build_resnet18(mopt), cluster_counts, rows);
 
   const int tokens = smoke ? 96 : 196;
   const int d = smoke ? 128 : 384;
   const int hidden = smoke ? 512 : 1536;
   scale_model("vit_ffn", build_ffn_block(tokens, d, hidden, 8, 11),
-              {tokens, d}, cluster_counts, rows);
+              cluster_counts, rows);
 
   Table t({"model", "clusters", "Mcyc/img", "speedup", "self", "util",
-           "reduce kcyc", "bit-exact"});
-  bool all_exact = true;
+           "reduce kcyc", "verified"});
+  bool all_verified = true;
   for (const Row& r : rows) {
-    all_exact = all_exact && r.bit_exact;
+    all_verified = all_verified && r.verified;
     t.add_row({r.model, std::to_string(r.clusters),
                Table::num(r.critical_cycles / 1e6, 2),
                Table::num(r.speedup, 2) + "x",
                Table::num(r.self_speedup, 2) + "x",
                Table::num(r.avg_utilization, 2),
                Table::num(r.reduction_cycles / 1e3, 1),
-               r.bit_exact ? "yes" : "NO"});
+               r.verified ? "yes" : "NO"});
   }
   std::cout << t;
 
-  if (!all_exact) {
-    std::cerr << "FAIL: sharded output differs from the single-cluster "
-                 "engine\n";
+  if (!all_verified) {
+    std::cerr << "FAIL: verify_shard reported findings\n";
     return 1;
   }
 

@@ -73,10 +73,11 @@ class BlobReader {
     if (count == 0) return {};
     DECIMATE_CHECK(off % 64 == 0,
                    what_ << ": misaligned weight-section payload at " << off);
+    // count is bounded by division: count * sizeof(T) could wrap
     DECIMATE_CHECK(off <= blob_.size() &&
-                       count * sizeof(T) <= blob_.size() - off,
-                   what_ << ": weight-section payload [" << off << ", +"
-                         << count * sizeof(T) << ") outside section of "
+                       count <= (blob_.size() - off) / sizeof(T),
+                   what_ << ": weight-section payload of " << count
+                         << " elements at " << off << " outside section of "
                          << blob_.size() << " bytes");
     return SharedBuf<T>::view(
         reinterpret_cast<const T*>(blob_.data() + off), count, keep_);
@@ -102,20 +103,40 @@ void write_tensor(serde::Writer& w, const Tensor<T>& t) {
   if (t.numel() != 0) w.bytes(t.data(), static_cast<size_t>(t.numel()) * sizeof(T));
 }
 
+/// A serialized tensor shape: rank, then one int32 per dim.
+std::vector<int> read_shape(serde::Reader& r) {
+  std::vector<int> shape(r.count<uint32_t>(sizeof(int32_t)));
+  for (auto& d : shape) d = r.i32();
+  return shape;
+}
+
+/// Check a shape against its payload of `elems` elements before the
+/// Tensor is built: every dim positive and their product exactly `elems`
+/// (the running product never passes `elems`, so it cannot overflow).
+void check_shape(const serde::Reader& r, const std::vector<int>& shape,
+                 uint64_t elems) {
+  uint64_t n = 1;
+  for (const int d : shape) {
+    DECIMATE_CHECK(d > 0 && n <= elems / static_cast<uint64_t>(d),
+                   r.what() << ": tensor shape exceeds its payload");
+    n *= static_cast<uint64_t>(d);
+  }
+  DECIMATE_CHECK(n == elems, r.what() << ": tensor payload size mismatch");
+}
+
 template <typename T>
 Tensor<T> read_tensor(serde::Reader& r) {
-  const uint32_t rank = r.u32();
-  std::vector<int> shape(rank);
-  for (auto& d : shape) d = r.i32();
+  std::vector<int> shape = read_shape(r);
   const uint64_t nbytes = r.u64();
-  if (rank == 0) {
+  if (shape.empty()) {
     DECIMATE_CHECK(nbytes == 0, r.what() << ": rank-0 tensor with payload");
     return {};
   }
-  Tensor<T> t(std::move(shape));
-  DECIMATE_CHECK(nbytes == static_cast<uint64_t>(t.numel()) * sizeof(T),
+  DECIMATE_CHECK(nbytes % sizeof(T) == 0,
                  r.what() << ": tensor payload size mismatch");
+  check_shape(r, shape, nbytes / sizeof(T));
   const auto b = r.take(static_cast<size_t>(nbytes));
+  Tensor<T> t(std::move(shape));
   std::memcpy(t.data(), b.data(), b.size());
   return t;
 }
@@ -134,18 +155,15 @@ void write_tensor_blob(serde::Writer& w, BlobWriter& blob,
 
 template <typename T>
 Tensor<T> read_tensor_blob(serde::Reader& r, const BlobReader& blob) {
-  const uint32_t rank = r.u32();
-  std::vector<int> shape(rank);
-  for (auto& d : shape) d = r.i32();
+  std::vector<int> shape = read_shape(r);
   const SharedBuf<T> payload = blob.read_ref<T>(r);
-  if (rank == 0) {
+  if (shape.empty()) {
     DECIMATE_CHECK(payload.size() == 0,
                    r.what() << ": rank-0 tensor with payload");
     return {};
   }
+  check_shape(r, shape, payload.size());
   Tensor<T> t(std::move(shape));
-  DECIMATE_CHECK(payload.size() == static_cast<size_t>(t.numel()),
-                 r.what() << ": tensor payload size mismatch");
   std::memcpy(t.data(), payload.data(), payload.size() * sizeof(T));
   return t;
 }
@@ -218,10 +236,9 @@ Node read_node(serde::Reader& r, const BlobReader& blob) {
   n.id = r.i32();
   n.op = static_cast<OpType>(r.u8());
   n.name = r.str();
-  n.inputs.resize(r.u32());
+  n.inputs.resize(r.count<uint32_t>(sizeof(int32_t)));
   for (auto& i : n.inputs) i = r.i32();
-  n.out_shape.resize(r.u32());
-  for (auto& d : n.out_shape) d = r.i32();
+  n.out_shape = read_shape(r);
   n.conv.ix = r.i32();
   n.conv.iy = r.i32();
   n.conv.c = r.i32();
@@ -280,8 +297,8 @@ std::shared_ptr<Graph> read_graph(serde::Reader& r, const BlobReader& blob) {
 
 void write_options(serde::Writer& w, const CompileOptions& o) {
   // exactly the plan-shaping fields options_fingerprint() folds in;
-  // host_threads / verify_plans / latency_cache_path are runtime knobs of
-  // the loading process, not plan content
+  // verify_plans / latency_cache_path are runtime knobs of the loading
+  // process, not plan content
   w.boolean(o.enable_sparse);
   w.boolean(o.enable_isa);
   w.boolean(o.pulpnn_dense);
@@ -445,6 +462,24 @@ void write_step(serde::Writer& w, BlobWriter& blob, const PlanStep& s) {
   write_report(w, s.report);
 }
 
+// Serialized sizes of the per-tile records write_step emits: three u64
+// cycle counts; four int32 ranges, out_bytes, two u64 fetch costs and
+// two flags.
+constexpr size_t kTileCostBytes = 3 * 8;
+constexpr size_t kShardTileBytes = 4 * 4 + 3 * 8 + 2;
+
+/// The fewest bytes write_step can emit (no payload, tiles or names):
+/// what every step a plan section counts occupies at least.
+size_t min_step_bytes() {
+  static const size_t bytes = [] {
+    serde::Writer w;
+    BlobWriter blob;
+    write_step(w, blob, PlanStep{});
+    return w.pos();
+  }();
+  return bytes;
+}
+
 PlanStep read_step(serde::Reader& r, const BlobReader& blob,
                    const Graph& graph) {
   PlanStep s;
@@ -474,7 +509,7 @@ PlanStep read_step(serde::Reader& r, const BlobReader& blob,
   s.host.row_start = blob.read_ref<int32_t>(r);
   s.host.col = blob.read_ref<uint16_t>(r);
   s.host.val = blob.read_ref<int8_t>(r);
-  s.tile_costs.resize(r.u64());
+  s.tile_costs.resize(r.count<uint64_t>(kTileCostBytes));
   for (TileCost& tc : s.tile_costs) {
     tc.compute = r.u64();
     tc.dma_in = r.u64();
@@ -484,7 +519,7 @@ PlanStep read_step(serde::Reader& r, const BlobReader& blob,
   s.serial_cycles = r.u64();
   s.batch_fused = r.boolean();
   s.shard_axis = static_cast<ShardAxis>(r.u8());
-  s.tiles_meta.resize(r.u64());
+  s.tiles_meta.resize(r.count<uint64_t>(kShardTileBytes));
   for (ShardTile& t : s.tiles_meta) {
     t.a_s = r.i32();
     t.a_e = r.i32();
@@ -731,9 +766,9 @@ CompiledPlan load_plan_impl(std::span<const uint8_t> bytes,
   plan.weight_bytes = plan_r.i64();
   plan.total_macs = plan_r.i64();
   plan.total_cycles = plan_r.u64();
-  const uint32_t steps = plan_r.u32();
+  const size_t steps = plan_r.count<uint32_t>(min_step_bytes());
   plan.steps.reserve(steps);
-  for (uint32_t i = 0; i < steps; ++i) {
+  for (size_t i = 0; i < steps; ++i) {
     plan.steps.push_back(read_step(plan_r, blob, *graph));
   }
   plan.owned_graph = graph;

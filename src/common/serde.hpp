@@ -7,7 +7,9 @@
 // registry's whole point is that a compile farm writes artifacts a
 // serving fleet reads. Readers are bounds-checked: running off the end of
 // a buffer (a truncated download, a torn file) throws decimate::Error
-// with the reader's context string instead of reading garbage.
+// with the reader's context string instead of reading garbage, and an
+// element count is bounded by the bytes left before anything is sized
+// with it (count()).
 
 #include <cstdint>
 #include <cstring>
@@ -119,6 +121,20 @@ class Reader {
     const uint32_t n = u32();
     const auto b = take(n);
     return std::string(reinterpret_cast<const char*>(b.data()), b.size());
+  }
+
+  /// Read an element count stored as a `T` (uint32_t or uint64_t) and
+  /// bound it by the bytes left, each element taking at least
+  /// `min_bytes`: an edited count throws here instead of sizing an
+  /// allocation the input cannot fill.
+  template <typename T>
+  size_t count(size_t min_bytes) {
+    const uint64_t n = le<T>();
+    DECIMATE_CHECK(n <= remaining() / min_bytes,
+                   what_ << ": count " << n << " before offset " << off_
+                         << " exceeds the " << remaining()
+                         << " bytes left");
+    return static_cast<size_t>(n);
   }
 
   /// Borrow `n` raw bytes (no copy; valid while the backing span lives).

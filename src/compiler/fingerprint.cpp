@@ -83,9 +83,8 @@ uint64_t graph_fingerprint(const Graph& graph) {
 }
 
 uint64_t options_fingerprint(const CompileOptions& opt) {
-  // host_threads, latency_cache_path and verify_plans are deliberately
-  // absent: they change how a plan is produced or validated, never what
-  // it contains.
+  // latency_cache_path and verify_plans are deliberately absent: they
+  // change how a plan is produced or validated, never what it contains.
   Fnv f;
   f.i32(opt.enable_sparse ? 1 : 0);
   f.i32(opt.enable_isa ? 1 : 0);

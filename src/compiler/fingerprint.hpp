@@ -9,10 +9,9 @@
 // parameter bytes — so two Graph objects with equal fingerprints lower to
 // identical plans and produce identical runs.
 //
-// 64-bit FNV-1a. Keys the serve PlanStore, the MultiClusterEngine
-// shard-plan cache and the plan registry; a collision would silently
-// reuse the wrong plan, so everything the compiler or engine can observe
-// must be folded in.
+// 64-bit FNV-1a. Keys the serve PlanStore and the plan registry; a
+// collision would silently reuse the wrong plan, so everything the
+// compiler or engine can observe must be folded in.
 
 #include <cstdint>
 
@@ -37,8 +36,7 @@ uint64_t options_fingerprint(const CompileOptions& opt);
 
 /// Plan identity: a CompiledPlan is a pure function of (graph content,
 /// options), so this is the sound key for any cache that outlives a
-/// single Compiler — the PlanStore and the MultiClusterEngine shard-plan
-/// cache both key on it.
+/// single Compiler — the PlanStore and the plan registry key on it.
 uint64_t plan_fingerprint(const Graph& graph, const CompileOptions& opt);
 
 /// plan_fingerprint from an already-computed graph fingerprint:

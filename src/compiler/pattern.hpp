@@ -33,21 +33,12 @@ struct CompileOptions {
   // hand every cluster work. Changes tile schedules (and therefore plan
   // identity — plan_fingerprint salts on it); numerics are unaffected.
   int num_clusters = 1;
-  // Host-side execution threads per image: ExecutionEngine::run splits
-  // each sufficiently large gemm step's output rows (conv) or tokens/
-  // channels (FC) across the engine's WorkerPool using the ranged host
-  // ops — disjoint ranges stitch bit-exactly, so numerics are unaffected.
-  // 1 (default) = serial; 0 = hardware concurrency; engines can override
-  // per-engine via set_intra_image_threads. Like latency_cache_path this
-  // only changes how fast a plan runs, never what it contains, so it is
-  // NOT part of the plan fingerprint.
-  int host_threads = 1;
   // Run the static plan verifier (src/verify) as a compile post-pass and
   // throw VerifyError when it finds error-level defects. On by default in
   // Debug builds; Release builds opt in explicitly (the serving PlanStore
   // always verifies newly admitted plans regardless of this flag). Like
-  // host_threads, this never changes what a plan contains, so it is NOT
-  // part of the plan fingerprint.
+  // latency_cache_path, this never changes what a plan contains, so it is
+  // NOT part of the plan fingerprint.
 #ifdef NDEBUG
   bool verify_plans = false;
 #else

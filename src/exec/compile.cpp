@@ -548,9 +548,6 @@ CompiledPlan Compiler::compile(const Graph& graph) {
   DECIMATE_CHECK(opt_.num_clusters >= 1,
                  "CompileOptions::num_clusters must be >= 1, got "
                      << opt_.num_clusters);
-  DECIMATE_CHECK(opt_.host_threads >= 0,
-                 "CompileOptions::host_threads must be >= 0 (0 = auto), got "
-                     << opt_.host_threads);
   CompiledPlan plan;
   plan.graph = &graph;
   plan.options = opt_;

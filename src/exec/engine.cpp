@@ -111,9 +111,7 @@ void ExecutionEngine::exec_gemm_node(const CompiledPlan& plan,
 
 NetworkRun ExecutionEngine::run(const CompiledPlan& plan,
                                 const Tensor8& input) {
-  const int want =
-      intra_threads_ >= 0 ? intra_threads_ : plan.options.host_threads;
-  return run_split(plan, input, want == 0 ? hardware_threads() : want);
+  return run_split(plan, input, 1);
 }
 
 NetworkRun ExecutionEngine::run_split(const CompiledPlan& plan,

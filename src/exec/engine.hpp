@@ -75,8 +75,10 @@ class ExecutionEngine {
  public:
   ExecutionEngine() = default;
 
-  /// Execute the plan's graph on `input`; returns the last node's output
-  /// plus the cycle/memory report. Thread-safe while verify mode is off.
+  /// Execute the plan's graph on `input` on the calling thread; returns
+  /// the last node's output plus the cycle/memory report. Thread-safe
+  /// while verify mode is off. A one-image run_batch is the parallel
+  /// form of this call.
   NetworkRun run(const CompiledPlan& plan, const Tensor8& input);
 
   /// Execute the plan over a batch of independent inputs on a worker
@@ -100,19 +102,9 @@ class ExecutionEngine {
   /// serving loop pays thread spawn once, not per formed batch.
   void set_workers(int n) { workers_ = n; }
 
-  /// Intra-image parallelism of run(): threads used to split a single
-  /// image's gemm steps across the worker pool (conv output rows / FC
-  /// tokens or channels via the ranged host ops — bit-exact stitching).
-  /// -1 (default) follows the plan's CompileOptions::host_threads; 0 =
-  /// hardware concurrency; 1 = serial. Splits nested inside run_batch's
-  /// image tasks execute inline (WorkerPool nesting guard), so batch- and
-  /// intra-image parallelism compose without oversubscription. Verify
-  /// mode always runs serial.
-  void set_intra_image_threads(int n) { intra_threads_ = n; }
-
-  /// Minimum step.report.macs for an intra-image split (run() and a
-  /// one-image run_batch) — tiny layers stay serial (fork/join overhead
-  /// would beat the win). Default 1M MACs.
+  /// Minimum step.report.macs for a one-image run_batch to split a step
+  /// — tiny layers stay serial (fork/join overhead would beat the win).
+  /// Default 1M MACs.
   void set_intra_mac_floor(int64_t macs) { intra_mac_floor_ = macs; }
 
   /// Route gemm numerics through the plan's HostKernelDispatch (sparse
@@ -147,7 +139,6 @@ class ExecutionEngine {
   bool verify_with_sim_ = false;
   bool use_host_kernels_ = true;
   int workers_ = 0;
-  int intra_threads_ = -1;  // -1 = follow plan options.host_threads
   int64_t intra_mac_floor_ = int64_t{1} << 20;
   std::mutex pool_mu_;  // guards pool_ swaps; callers hold their own ref
   std::shared_ptr<WorkerPool> pool_;  // lazily created, reused per batch

@@ -1,8 +1,9 @@
 #pragma once
-// Reference-numerics execution of single graph nodes, shared by the
-// single-cluster ExecutionEngine and the sharded MultiClusterEngine (the
-// numerics of a node do not depend on how its tiles are scheduled or
-// which cluster runs them — both engines must produce identical bytes).
+// Reference-numerics execution of single graph nodes: ExecutionEngine's
+// step loop runs every node through these, and perfbench's per-step
+// replay calls them one node at a time (the numerics of a node do not
+// depend on how its tiles are scheduled — the replay must produce the
+// engine's bytes).
 
 #include <vector>
 

@@ -1,14 +1,13 @@
 #pragma once
-// Persistent worker pool for the execution engines.
+// Persistent worker pool for the execution engine.
 //
 // ExecutionEngine::run_batch used to build (and join) a std::vector of
 // std::thread per call, so a serving loop paid thread spawn/teardown for
 // every formed batch. A WorkerPool keeps its threads parked on a condition
 // variable between jobs: run(n, fn) hands out task indices [0, n) to the
 // workers (work-claiming, same pipeline semantics as before) plus the
-// calling thread, and returns when every index has been processed.
-// MultiClusterEngine reuses the same pool for its per-cluster shard
-// slices and data-parallel thunks.
+// calling thread, and returns when every index has been processed. A
+// one-image run_batch reuses the same pool for its intra-image splits.
 //
 // Thread safety: run() may be called from several threads; calls
 // serialize on an internal mutex (jobs never interleave). The first

@@ -431,80 +431,4 @@ Tensor8 host_fc_s8(const HostKernelDispatch& d, const Tensor8& input,
   return out;
 }
 
-Tensor32 host_fc_s32_partial(const HostKernelDispatch& d,
-                             const Tensor8& input, const Tensor8& weights,
-                             int c_s, int c_e) {
-  DECIMATE_CHECK(input.rank() == 2, "host fc expects 2D input");
-  const int t = input.dim(0), c = input.dim(1);
-  DECIMATE_CHECK(0 <= c_s && c_s <= c_e && c_e <= c,
-                 "host fc feature range out of bounds");
-
-  if (d.impl == HostImpl::kSparseFc) {
-    const int k = static_cast<int>(d.row_start.size()) - 1;
-    Tensor32 out({t, k}, 0);
-    for (int ki = 0; ki < k; ++ki) {
-      // the row's columns ascend — binary-search the feature window once
-      const auto row_b = d.col.begin() + d.row_start[static_cast<size_t>(ki)];
-      const auto row_e =
-          d.col.begin() + d.row_start[static_cast<size_t>(ki) + 1];
-      const int e_s =
-          static_cast<int>(std::lower_bound(row_b, row_e, c_s) - d.col.begin());
-      const int e_e =
-          static_cast<int>(std::lower_bound(row_b, row_e, c_e) - d.col.begin());
-      for (int ti = 0; ti < t; ++ti) {
-        const int8_t* in = input.data() + static_cast<int64_t>(ti) * c;
-        int32_t acc = 0;
-        for (int e = e_s; e < e_e; ++e) {
-          acc += static_cast<int32_t>(in[d.col[static_cast<size_t>(e)]]) *
-                 static_cast<int32_t>(d.val[static_cast<size_t>(e)]);
-        }
-        out[static_cast<int64_t>(ti) * k + ki] = acc;
-      }
-    }
-    return out;
-  }
-
-  if (d.impl == HostImpl::kDenseFc) {
-    DECIMATE_CHECK(weights.rank() == 2 && weights.dim(1) == c,
-                   "host fc weight/input dim mismatch");
-    const int k = weights.dim(0);
-    Tensor32 out({t, k}, 0);
-    const int n = c_e - c_s;
-    for (int ti = 0; ti < t; ++ti) {
-      const int8_t* in = input.data() + static_cast<int64_t>(ti) * c + c_s;
-      int32_t* orow = out.data() + static_cast<int64_t>(ti) * k;
-      int ki = 0;
-      for (; ki + 3 < k; ki += 4) {
-        const int8_t* wr0 = weights.data() + static_cast<int64_t>(ki) * c + c_s;
-        const int8_t* wr1 = wr0 + c;
-        const int8_t* wr2 = wr1 + c;
-        const int8_t* wr3 = wr2 + c;
-        int32_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-        for (int i = 0; i < n; ++i) {
-          const int32_t v = in[i];
-          a0 += v * wr0[i];
-          a1 += v * wr1[i];
-          a2 += v * wr2[i];
-          a3 += v * wr3[i];
-        }
-        orow[ki] = a0;
-        orow[ki + 1] = a1;
-        orow[ki + 2] = a2;
-        orow[ki + 3] = a3;
-      }
-      for (; ki < k; ++ki) {
-        const int8_t* w = weights.data() + static_cast<int64_t>(ki) * c + c_s;
-        int32_t acc = 0;
-        for (int i = 0; i < n; ++i) {
-          acc += static_cast<int32_t>(in[i]) * static_cast<int32_t>(w[i]);
-        }
-        orow[ki] = acc;
-      }
-    }
-    return out;
-  }
-
-  return fc_s32_partial(input, weights, c_s, c_e);
-}
-
 }  // namespace decimate

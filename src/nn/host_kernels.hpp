@@ -135,11 +135,4 @@ Tensor8 host_fc_s8(const HostKernelDispatch& d, const Tensor8& input,
                    const Tensor8& weights, const Tensor32& bias,
                    const Requant& rq);
 
-/// Partial FC accumulation over input features [c_s, c_e), bit-identical
-/// to fc_s32_partial: the sparse impl binary-searches each row's column
-/// CSR for the range, the dense impl runs the blocked loops over it.
-Tensor32 host_fc_s32_partial(const HostKernelDispatch& d,
-                             const Tensor8& input, const Tensor8& weights,
-                             int c_s, int c_e);
-
 }  // namespace decimate

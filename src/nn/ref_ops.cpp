@@ -96,28 +96,6 @@ void fc_s8_into(const Tensor8& input, const Tensor8& weights,
   }
 }
 
-Tensor32 fc_s32_partial(const Tensor8& input, const Tensor8& weights,
-                        int c_s, int c_e) {
-  DECIMATE_CHECK(input.rank() == 2 && weights.rank() == 2, "fc expects 2D");
-  const int t = input.dim(0), c = input.dim(1), k = weights.dim(0);
-  DECIMATE_CHECK(weights.dim(1) == c, "fc weight/input dim mismatch");
-  DECIMATE_CHECK(0 <= c_s && c_s <= c_e && c_e <= c,
-                 "fc feature range out of bounds");
-  Tensor32 out({t, k}, 0);
-  for (int ti = 0; ti < t; ++ti) {
-    const int8_t* in = input.data() + static_cast<int64_t>(ti) * c;
-    for (int ki = 0; ki < k; ++ki) {
-      const int8_t* w = weights.data() + static_cast<int64_t>(ki) * c;
-      int32_t acc = 0;
-      for (int ci = c_s; ci < c_e; ++ci) {
-        acc += static_cast<int32_t>(in[ci]) * static_cast<int32_t>(w[ci]);
-      }
-      out.at({ti, ki}) = acc;
-    }
-  }
-  return out;
-}
-
 Tensor8 relu_s8(const Tensor8& x) {
   Tensor8 out(x.shape());
   for (int64_t i = 0; i < x.numel(); ++i) out[i] = std::max<int8_t>(x[i], 0);

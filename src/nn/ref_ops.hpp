@@ -38,17 +38,6 @@ void fc_s8_into(const Tensor8& input, const Tensor8& weights,
                 const Tensor32& bias, const Requant& rq, int t_s, int t_e,
                 int k_s, int k_e, Tensor8& out);
 
-/// Partial FC accumulation over input features [c_s, c_e): returns the
-/// int32 sums sum_c in[t][c] * w[k][c] for the whole {T, K} output, with
-/// no bias and no requant. Summing the partials of a contiguous input-
-/// feature partition in ascending range order on top of the bias
-/// reproduces fc_s8's accumulator bit-for-bit (int32 two's-complement
-/// addition over a regrouped, order-preserved sequence), so a reduction-
-/// dimension shard split stays exact as long as requant runs once, after
-/// the reduce.
-Tensor32 fc_s32_partial(const Tensor8& input, const Tensor8& weights,
-                        int c_s, int c_e);
-
 /// Elementwise ReLU.
 Tensor8 relu_s8(const Tensor8& x);
 

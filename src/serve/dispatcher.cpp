@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "serve/fault.hpp"
+#include "shard/shard_planner.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
@@ -39,6 +40,37 @@ void record_served_metrics(const DispatchResult& out) {
                                      : "serve.deadline.misses")
         .inc();
   }
+}
+
+// The data-parallel completion model: modeled finish of each of `n`
+// images assigned round-robin to `clusters` clusters.
+std::vector<uint64_t> data_parallel_completions(const CompiledPlan& plan,
+                                                int n, int clusters) {
+  DECIMATE_CHECK(clusters >= 1, "need at least one cluster");
+  std::vector<uint64_t> completions(static_cast<size_t>(std::max(n, 0)));
+  // image i is the (i / clusters)-th image of cluster i % clusters; it
+  // finishes when its cluster's pipelined prefix of that many images does
+  for (int i = 0; i < n; ++i) {
+    const int position = i / clusters + 1;
+    completions[static_cast<size_t>(i)] =
+        ExecutionEngine::modeled_batch_cycles(plan, position);
+  }
+  return completions;
+}
+
+// Per-cluster busy cycles of the same round-robin placement (each
+// cluster's pipelined stream over its own images) — the consumed-cycles
+// side of the model, the mode's cost.
+std::vector<uint64_t> data_parallel_busy_cycles(const CompiledPlan& plan,
+                                                int n, int clusters) {
+  DECIMATE_CHECK(clusters >= 1, "need at least one cluster");
+  std::vector<uint64_t> busy(static_cast<size_t>(clusters), 0);
+  for (int c = 0; c < clusters && c < n; ++c) {
+    const int images = (n - c - 1) / clusters + 1;  // round-robin share
+    busy[static_cast<size_t>(c)] =
+        ExecutionEngine::modeled_batch_cycles(plan, images);
+  }
+  return busy;
 }
 
 }  // namespace
@@ -90,9 +122,8 @@ void Dispatcher::warm(int model) {
   }
   // the shard schedule is only read here: the table keeps what
   // kShardedSingle needs and the schedule itself is dropped
-  MultiClusterEngine mce(cfg_.num_clusters);
-  const ShardPlan& sp =
-      mce.shard_plan(store_.plan(model, 1, cfg_.num_clusters));
+  const ShardPlan sp = ShardPlanner(cfg_.num_clusters)
+                           .plan(store_.plan(model, 1, cfg_.num_clusters));
   table.shard_critical_cycles = sp.critical_path_cycles;
   table.shard_busy_cycles =
       std::accumulate(sp.cluster_busy_cycles.begin(),
@@ -181,11 +212,11 @@ std::vector<ModeEval> Dispatcher::evaluate(
     e.mode = ServeMode::kDataParallel;
     e.group_size.assign(n, batch_size);
     const CompiledPlan& plan = store_.plan(model, 1, 1);
-    e.completion_cycles = MultiClusterEngine::data_parallel_completions(
-        plan, batch_size, cfg_.num_clusters);
+    e.completion_cycles =
+        data_parallel_completions(plan, batch_size, cfg_.num_clusters);
     for (uint64_t& c : e.completion_cycles) c += dispatch_cycles;
-    for (const uint64_t busy : MultiClusterEngine::data_parallel_busy_cycles(
-             plan, batch_size, cfg_.num_clusters)) {
+    for (const uint64_t busy :
+         data_parallel_busy_cycles(plan, batch_size, cfg_.num_clusters)) {
       e.cost_cycles += busy;
     }
     finalize(e);

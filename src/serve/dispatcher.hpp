@@ -12,9 +12,9 @@
 //                    amortizes across the chunk), worst latency (every
 //                    member waits for its whole chunk).
 //  - kShardedSingle: each image in turn is sharded across all clusters
-//                    by the MultiClusterEngine. Best latency (the shard
-//                    critical path), most total cycles (stitch/reduce
-//                    overhead and shard imbalance on every image).
+//                    as the ShardPlanner schedules it. Best latency (the
+//                    shard critical path), most total cycles (stitch/
+//                    reduce overhead and shard imbalance on every image).
 //  - kDataParallel:  whole images round-robin across clusters. Middle
 //                    ground: per-image latency of the single-cluster
 //                    pipeline, no fusion savings, but n images finish in
@@ -39,8 +39,8 @@
 // compiles anything. warm() also fills the model's ModelCosts, the
 // modeled cycles that do not depend on arrivals (each fused chunk size,
 // one sharded image's critical path and busy cycles), so evaluate() reads
-// a table instead of re-deriving them — in particular it never looks up
-// the shard schedule, whose cache key hashes every weight byte.
+// a table instead of re-deriving them — in particular it never re-plans
+// the shard schedule.
 //
 // If run_batch ever reports a fused-batch mismatch (BatchMismatchError —
 // the structured error proves the condition is recoverable, unlike a bare
@@ -57,12 +57,13 @@
 // WallClockServer (wallclock.hpp) serves live requests on wall time.
 
 #include <map>
+#include <span>
 #include <vector>
 
+#include "exec/engine.hpp"
 #include "serve/batcher.hpp"
 #include "serve/plan_store.hpp"
 #include "serve/serving.hpp"
-#include "shard/multi_cluster_engine.hpp"
 
 namespace decimate {
 

@@ -101,8 +101,7 @@ const CompiledPlan& PlanStore::plan(int model, int batch, int num_clusters) {
     try {
       auto loaded = registry_->load(key);
       if (loaded.has_value()) {
-        // runtime knobs are the loading process's, not the publisher's
-        loaded->options.host_threads = base_.host_threads;
+        // a runtime knob is the loading process's, not the publisher's
         loaded->options.verify_plans = base_.verify_plans;
         ++registry_loads_;
         it = plans_

@@ -71,9 +71,10 @@ WallClockServer::WallClockServer(PlanStore& store,
       cfg_(cfg),
       epoch_(std::chrono::steady_clock::now()) {
   DECIMATE_CHECK(cfg_.max_batch >= 1, "max_batch must be >= 1");
-  // One Dispatcher per executor: Dispatcher (and its MultiClusterEngine)
-  // is single-caller by design; per-thread instances over the shared
-  // thread-safe PlanStore make the concurrency story trivial.
+  // One Dispatcher per executor: a Dispatcher (its ExecutionEngine and its
+  // copy of the warm-time cost tables) is single-caller by design;
+  // per-thread instances over the shared thread-safe PlanStore make the
+  // concurrency story trivial.
   for (int i = 0; i < kExecutors; ++i) {
     dispatchers_.push_back(
         std::make_unique<Dispatcher>(store_, dispatch_cfg_));

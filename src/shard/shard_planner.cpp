@@ -192,7 +192,7 @@ StepShard ShardPlanner::shard_fc_c(const CompiledPlan& plan,
 
   // Reduction on the root: every non-root int32 partial crosses the
   // interconnect, then folds in with one add per element (ascending
-  // cluster order — the order MultiClusterEngine reduces in).
+  // cluster order, so the unsharded accumulation is only regrouped).
   const uint64_t add_cycles =
       (static_cast<uint64_t>(g.tokens) * g.k +
        static_cast<uint64_t>(plan.options.num_cores) - 1) /

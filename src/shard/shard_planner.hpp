@@ -16,12 +16,18 @@
 //    computes int32 partial sums over a contiguous C range (costed by a
 //    fresh ISS measurement through the plan's own TileLatencyCache), and
 //    the root reduces the partials in ascending cluster order before the
-//    single requant — the exact accumulation regrouping MultiClusterEngine
-//    implements, so results stay bit-exact.
+//    single requant — the unsharded accumulation, regrouped
+//    associatively, so the split would not change a single output bit.
 //  - kNone: serial / marshalling / whole-tensor steps run on the root.
 //
 // With num_clusters == 1 the plan degenerates to the unsharded schedule:
 // critical_path_cycles == CompiledPlan::total_cycles exactly.
+//
+// The sharded placement is modeled, not executed: the host runs every
+// plan step whole on ExecutionEngine (a shard-aware compile changes
+// tiles, not numerics), the serve Dispatcher reads a ShardPlan's critical
+// path and busy cycles at warm() to score kShardedSingle, and
+// verify_shard (verify/verify.hpp) checks a schedule's slices statically.
 
 #include <cstdint>
 #include <memory>
@@ -66,8 +72,8 @@ struct StepShard {
 /// BatchRun::batch_cycles merges per-image tile streams — each cluster
 /// pipelines its own slice, clusters sync at every stitch/reduce point).
 /// Holds no pointer back to the CompiledPlan: slices address tiles by
-/// index, so the schedule applies to any plan with the same content
-/// (MultiClusterEngine caches it under plan_fingerprint).
+/// index, so the schedule applies to any plan with the same content (a
+/// plan loaded from a `.plan` artifact included).
 struct ShardPlan {
   int num_clusters = 1;
   std::vector<StepShard> steps;  // parallel to plan->steps
@@ -81,6 +87,15 @@ struct ShardPlan {
                      cluster_busy_cycles[static_cast<size_t>(cluster)]) /
                      static_cast<double>(critical_path_cycles)
                : 0.0;
+  }
+  double avg_utilization() const {
+    double sum = 0.0;
+    for (size_t c = 0; c < cluster_busy_cycles.size(); ++c) {
+      sum += utilization(static_cast<int>(c));
+    }
+    return cluster_busy_cycles.empty()
+               ? 0.0
+               : sum / static_cast<double>(cluster_busy_cycles.size());
   }
 };
 

@@ -1,17 +1,9 @@
 #include "trace/trace.hpp"
 
-#if DECIMATE_TRACE_ENABLED
-
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <mutex>
-#include <sstream>
-#include <vector>
-
 namespace decimate::trace {
 
+// Defined in every build: exporters and tests read the taxonomy even
+// when recording is compiled out.
 const char* cat_name(Cat cat) {
   switch (cat) {
     case Cat::kServe:
@@ -24,8 +16,6 @@ const char* cat_name(Cat cat) {
       return "exec";
     case Cat::kKernel:
       return "kernel";
-    case Cat::kShard:
-      return "shard";
     case Cat::kPool:
       return "pool";
     case Cat::kArtifact:
@@ -35,6 +25,20 @@ const char* cat_name(Cat cat) {
   }
   return "?";
 }
+
+}  // namespace decimate::trace
+
+#if DECIMATE_TRACE_ENABLED
+
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <mutex>
+#include <sstream>
+#include <vector>
+
+namespace decimate::trace {
 
 namespace {
 
@@ -300,38 +304,6 @@ void instant(Cat cat, const char* name, uint64_t flow_request_id,
     e.nsargs = 1;
   }
   emit(e);
-}
-
-}  // namespace decimate::trace
-
-#else  // !DECIMATE_TRACE_ENABLED
-
-namespace decimate::trace {
-
-// Keep this TU non-empty and cat_name available to exporters/tests that
-// want the taxonomy even in untraced builds.
-const char* cat_name(Cat cat) {
-  switch (cat) {
-    case Cat::kServe:
-      return "serve";
-    case Cat::kBatcher:
-      return "batcher";
-    case Cat::kDispatch:
-      return "dispatch";
-    case Cat::kExec:
-      return "exec";
-    case Cat::kKernel:
-      return "kernel";
-    case Cat::kShard:
-      return "shard";
-    case Cat::kPool:
-      return "pool";
-    case Cat::kArtifact:
-      return "artifact";
-    case Cat::kFault:
-      return "fault";
-  }
-  return "?";
 }
 
 }  // namespace decimate::trace

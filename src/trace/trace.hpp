@@ -53,7 +53,6 @@ enum class Cat : uint8_t {
   kDispatch,  // Dispatcher: mode choice, chunking
   kExec,      // ExecutionEngine: run / run_batch
   kKernel,    // per-PlanStep kernel execution
-  kShard,     // MultiClusterEngine: per-cluster shard work
   kPool,      // WorkerPool: task execution and parked time
   kArtifact,  // PlanRegistry: artifact load / mmap / verify / publish
   kFault,     // FaultInjector: injected faults and recovery actions

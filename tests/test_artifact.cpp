@@ -1,13 +1,15 @@
 // Plan-artifact registry tests: serde primitives, serialize -> load
 // round-trips that must be bit-exact across every execution path
-// (ExecutionEngine::run, pipelined run_batch, MultiClusterEngine shard),
-// the admission gate (truncation, bit flips, version skew, forged
-// fingerprints, out-of-range gather columns), concurrent loads, graph
-// ownership of loaded plans, and the PlanStore registry tier's
-// zero-compile / zero-ISS cold start.
+// (ExecutionEngine::run, pipelined run_batch) and reproduce the shard
+// schedule without the ISS, the admission gate (truncation, bit flips,
+// version skew, forged fingerprints, out-of-range gather columns, edited
+// counts), concurrent loads, graph ownership of loaded plans, and the
+// PlanStore registry tier's zero-compile / zero-ISS cold start and its
+// fallback on a bad artifact.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -24,7 +26,7 @@
 #include "exec/engine.hpp"
 #include "models/models.hpp"
 #include "serve/plan_store.hpp"
-#include "shard/multi_cluster_engine.hpp"
+#include "shard/shard_planner.hpp"
 #include "trace/metrics.hpp"
 
 namespace decimate {
@@ -194,7 +196,7 @@ TEST(PlanArtifact, FfnBatchRunRoundTripsBitExact) {
   }
 }
 
-TEST(PlanArtifact, ShardedRunRoundTripsBitExactAndIssFree) {
+TEST(PlanArtifact, ShardPlanRoundTripsIssFree) {
   const Graph g = small_ffn();
   CompileOptions opt = isa_options();
   opt.num_clusters = 2;
@@ -202,22 +204,26 @@ TEST(PlanArtifact, ShardedRunRoundTripsBitExactAndIssFree) {
 
   // shard-plan BEFORE serializing so the kFcC measurements (if the
   // planner takes that path) land in the latency section too
-  MultiClusterEngine publisher(2);
-  const Tensor8 input = random_input(g, 7);
-  const ShardedRun fresh = publisher.run(plan, input);
+  const ShardPlan fresh = ShardPlanner(2).plan(plan);
 
   const auto bytes = artifact::serialize_plan(plan);
   auto cold_cache = std::make_shared<TileLatencyCache>();
   const CompiledPlan loaded =
       artifact::load_plan_from_bytes(bytes, "shard-test", cold_cache);
 
-  MultiClusterEngine consumer(2);
-  const ShardedRun reloaded = consumer.run(loaded, input);
-  EXPECT_EQ(reloaded.run.output, fresh.run.output);
-  EXPECT_EQ(reloaded.run.total_cycles, fresh.run.total_cycles);
+  const ShardPlan reloaded = ShardPlanner(2).plan(loaded);
+  EXPECT_EQ(reloaded.critical_path_cycles, fresh.critical_path_cycles);
+  EXPECT_EQ(reloaded.reduction_cycles, fresh.reduction_cycles);
+  EXPECT_EQ(reloaded.cluster_busy_cycles, fresh.cluster_busy_cycles);
   // zero ISS in the consumer: every tile the shard planner needed was
   // embedded in the artifact's latency section (misses == simulations)
   EXPECT_EQ(cold_cache->misses(), 0u);
+
+  const Tensor8 input = random_input(g, 7);
+  ExecutionEngine engine;
+  const NetworkRun ran = engine.run(loaded, input);
+  EXPECT_EQ(ran.output, engine.run(plan, input).output);
+  EXPECT_EQ(ran.total_cycles, plan.total_cycles);
 }
 
 TEST(PlanArtifact, LoadedPlanOwnsItsGraph) {
@@ -273,7 +279,63 @@ struct Corruptible {
   std::vector<uint8_t> bytes;
   explicit Corruptible(const CompiledPlan& plan)
       : bytes(artifact::serialize_plan(plan)) {}
+
+  // Section ids, in the order of the header's section table.
+  static constexpr size_t kPlanSection = 1, kWeightSection = 3;
+
+  /// Byte offset of section `id`'s table entry: after magic, version,
+  /// both fingerprints and the count, entries of id, offset, size, crc.
+  static size_t entry(size_t id) {
+    return 4 + 4 + 8 + 8 + 4 + id * (1 + 8 + 8 + 4);
+  }
+
+  uint64_t get_u64(size_t at) const {
+    uint64_t v = 0;
+    for (size_t i = 0; i < 8; ++i) {
+      v |= static_cast<uint64_t>(bytes[at + i]) << (8 * i);
+    }
+    return v;
+  }
+  void put_u32(size_t at, uint32_t v) {
+    for (size_t i = 0; i < 4; ++i) {
+      bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+  std::span<const uint8_t> section(size_t id) const {
+    return std::span<const uint8_t>(bytes).subspan(
+        static_cast<size_t>(get_u64(entry(id) + 1)),
+        static_cast<size_t>(get_u64(entry(id) + 9)));
+  }
+
+  /// File offset of the first `pattern` inside section `id` (0 when
+  /// absent).
+  size_t find(size_t id, const std::vector<uint8_t>& pattern) const {
+    const auto sec = section(id);
+    const auto it =
+        std::search(sec.begin(), sec.end(), pattern.begin(), pattern.end());
+    return it == sec.end() ? 0
+                           : static_cast<size_t>(&*it - bytes.data());
+  }
+
+  /// Re-seal after an edit: section `id`'s CRC in its table entry, then
+  /// the header CRC over everything before it. Only the loader's own
+  /// checks can then catch the edit.
+  void reseal(size_t id) {
+    put_u32(entry(id) + 17, serde::crc32(section(id)));
+    put_u32(artifact::kHeaderBytes - 4,
+            serde::crc32(std::span<const uint8_t>(bytes).first(
+                artifact::kHeaderBytes - 4)));
+  }
 };
+
+/// Little-endian bytes of the low `n` bytes of `v`.
+std::vector<uint8_t> le(uint64_t v, size_t n) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  return out;
+}
 
 TEST(PlanArtifact, RejectsTruncation) {
   const Graph g = small_ffn();
@@ -385,30 +447,7 @@ TEST(PlanArtifact, RejectsOutOfRangeGatherColumn) {
     ASSERT_GT(col_at, 0u) << model;
     a.bytes[col_at] = 0xff;
     a.bytes[col_at + 1] = 0xff;
-
-    // re-seal: the weight section's CRC in its table entry (the fourth
-    // entry after magic, version, both fingerprints and the count), then
-    // the header CRC over everything before it
-    const auto put_u32 = [&](size_t at, uint32_t v) {
-      for (size_t i = 0; i < 4; ++i) {
-        a.bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
-      }
-    };
-    const auto get_u64 = [&](size_t at) {
-      uint64_t v = 0;
-      for (size_t i = 0; i < 8; ++i) {
-        v |= static_cast<uint64_t>(a.bytes[at + i]) << (8 * i);
-      }
-      return v;
-    };
-    const size_t entry = 4 + 4 + 8 + 8 + 4 + 3 * (1 + 8 + 8 + 4);
-    const uint64_t off = get_u64(entry + 1), size = get_u64(entry + 9);
-    put_u32(entry + 17,
-            serde::crc32(std::span<const uint8_t>(a.bytes).subspan(
-                static_cast<size_t>(off), static_cast<size_t>(size))));
-    put_u32(artifact::kHeaderBytes - 4,
-            serde::crc32(std::span<const uint8_t>(a.bytes).first(
-                artifact::kHeaderBytes - 4)));
+    a.reseal(Corruptible::kWeightSection);
     ASSERT_TRUE(artifact::verify_artifact(a.bytes, "resealed").ok()) << model;
     try {
       artifact::load_plan_from_bytes(a.bytes, "resealed");
@@ -416,6 +455,60 @@ TEST(PlanArtifact, RejectsOutOfRangeGatherColumn) {
     } catch (const VerifyError& e) {
       EXPECT_TRUE(e.report().has("host.gather")) << model;
     }
+  }
+}
+
+/// `plan`'s artifact with one count edited to 0xFFFFFFFF and re-sealed:
+/// the plan section's step count, or the first tiled step's tile_costs
+/// count. Either would size an allocation far beyond the artifact (tens
+/// of GB and more) if the loader trusted it.
+std::vector<uint8_t> with_huge_count(const CompiledPlan& plan,
+                                     bool step_count) {
+  Corruptible a(plan);
+  // the step count (u32) follows total_cycles; a step's tile_costs count
+  // (u64) precedes its first tile's compute, dma_in and dma_out
+  std::vector<uint8_t> pattern = le(plan.total_cycles, 8);
+  size_t skip = 8;
+  if (step_count) {
+    const std::vector<uint8_t> n = le(plan.steps.size(), 4);
+    pattern.insert(pattern.end(), n.begin(), n.end());
+  } else {
+    const auto tiled =
+        std::find_if(plan.steps.begin(), plan.steps.end(),
+                     [](const PlanStep& s) { return !s.tile_costs.empty(); });
+    if (tiled == plan.steps.end()) {
+      ADD_FAILURE() << "plan has no tiled step";
+      return a.bytes;
+    }
+    const TileCost& first = tiled->tile_costs.front();
+    pattern = le(tiled->tile_costs.size(), 8);
+    for (const uint64_t v : {first.compute, first.dma_in, first.dma_out}) {
+      const std::vector<uint8_t> b = le(v, 8);
+      pattern.insert(pattern.end(), b.begin(), b.end());
+    }
+    skip = 0;
+  }
+  const size_t at = a.find(Corruptible::kPlanSection, pattern);
+  if (at == 0) {
+    ADD_FAILURE() << "count field not found";
+    return a.bytes;
+  }
+  for (size_t i = 0; i < 4; ++i) a.bytes[at + skip + i] = 0xff;
+  a.reseal(Corruptible::kPlanSection);
+  EXPECT_TRUE(artifact::verify_artifact(a.bytes, "huge-count").ok());
+  return a.bytes;
+}
+
+Graph ffn_1_4() { return build_ffn_block(16, 64, 128, 4, 7); }
+
+TEST(PlanArtifact, RejectsEditedCountsBeforeAllocating) {
+  const Graph g = ffn_1_4();
+  const CompiledPlan plan = compile_plan(g, isa_options());
+  for (const bool step_count : {true, false}) {
+    EXPECT_THROW(artifact::load_plan_from_bytes(
+                     with_huge_count(plan, step_count), "huge-count"),
+                 Error)
+        << (step_count ? "step count" : "tile_costs count");
   }
 }
 
@@ -585,6 +678,28 @@ TEST(PlanStoreRegistry, WarmRegistryColdStartIsZeroCompileZeroIss) {
   EXPECT_EQ(ExecutionEngine().run(p1, input).output,
             ExecutionEngine().run(fresh, input).output);
   EXPECT_EQ(p4.options.batch, 4);
+}
+
+TEST(PlanStoreRegistry, EditedCountIsARegistryFaultAndRecompiles) {
+  // a bad artifact must be counted and recompiled, not take down setup
+  const Graph g = ffn_1_4();
+  const CompiledPlan plan = compile_plan(g, isa_options());
+  TempDir dir;
+  const std::string path = PlanRegistry(dir.path).publish(plan);
+  const std::vector<uint8_t> bad = with_huge_count(plan, true);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bad.data()),
+             static_cast<std::streamsize>(bad.size()));
+
+  PlanStore store(isa_options(), shared_test_cache());
+  store.attach_registry(dir.path);
+  const CompiledPlan& served = store.plan(store.add_model(g), 1);
+  EXPECT_EQ(store.registry_faults(), 1);
+  EXPECT_EQ(store.registry_loads(), 0);
+  EXPECT_EQ(store.compiles(), 1);
+  const Tensor8 input = random_input(g, 41);
+  EXPECT_EQ(ExecutionEngine().run(served, input).output,
+            ExecutionEngine().run(plan, input).output);
 }
 
 TEST(PlanStoreRegistry, LoadedPlansDoNotReferenceTheStoreGraph) {

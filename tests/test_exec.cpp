@@ -258,9 +258,8 @@ TEST(Exec, IntraImageThreadingBitExactOnResnet18AndVit) {
   // scaled model's 4x4 and 2x2 planes) / tokens or channels (FC, matmul)
   // across the pool must be bit-identical to the serial
   // path — outputs AND reports — at any thread count, with the MAC floor
-  // zeroed so even the tiniest steps take the parallel path. Both entry
-  // points split: run() (set_intra_image_threads) and a one-image
-  // run_batch (set_workers).
+  // zeroed so even the tiniest steps take the parallel path. The split
+  // entry point is a one-image run_batch (set_workers); run() is serial.
   for (const bool vit : {false, true}) {
     const Graph g = vit ? scaled_vit() : scaled_resnet18();
     Compiler compiler(isa_options());
@@ -270,64 +269,17 @@ TEST(Exec, IntraImageThreadingBitExactOnResnet18AndVit) {
     const auto inputs = distinct_inputs(shape, 2, 31);
 
     ExecutionEngine serial;
-    serial.set_intra_image_threads(1);
     for (const int threads : {2, 5}) {
-      ExecutionEngine threaded;
-      threaded.set_intra_image_threads(threads);
-      threaded.set_intra_mac_floor(0);
       ExecutionEngine batched;
       batched.set_workers(threads);
       batched.set_intra_mac_floor(0);
       for (const Tensor8& input : inputs) {
         const NetworkRun ref = serial.run(plan, input);
-        expect_same_run(threaded.run(plan, input), ref);
         const BatchRun one = batched.run_batch(plan, {&input, 1});
         ASSERT_EQ(one.runs.size(), 1u);
         expect_same_run(one.runs[0], ref);
       }
     }
-  }
-}
-
-TEST(Exec, IntraImageThreadsFollowPlanOptionsByDefault) {
-  // CompileOptions::host_threads drives an engine left at the default
-  // (-1); the knob changes wall-clock routing only, never bytes
-  const Graph g = scaled_resnet18();
-  CompileOptions opt = isa_options();
-  opt.host_threads = 3;
-  Compiler compiler(opt);
-  const CompiledPlan plan = compiler.compile(g);
-
-  Compiler serial_compiler(isa_options());  // host_threads = 1
-  const CompiledPlan serial_plan = serial_compiler.compile(g);
-
-  ExecutionEngine follows_plan;  // intra threads default -1
-  follows_plan.set_intra_mac_floor(0);
-  ExecutionEngine serial;
-  const Tensor8 input = distinct_inputs({16, 16, 4}, 1, 32).front();
-  expect_same_run(follows_plan.run(plan, input),
-                  serial.run(serial_plan, input));
-}
-
-TEST(Exec, BatchAndIntraImageParallelismCompose) {
-  // run_batch image tasks claim pool slots; an intra-image split fired
-  // inside one must nest inline (WorkerPool guard) and stay bit-exact
-  const Graph g = scaled_resnet18();
-  Compiler compiler(isa_options());
-  const CompiledPlan plan = compiler.compile(g);
-  const auto inputs = distinct_inputs({16, 16, 4}, 4, 33);
-
-  ExecutionEngine engine;
-  engine.set_workers(3);
-  engine.set_intra_image_threads(4);
-  engine.set_intra_mac_floor(0);
-  const BatchRun batch = engine.run_batch(plan, inputs);
-
-  ExecutionEngine serial;
-  serial.set_intra_image_threads(1);
-  ASSERT_EQ(batch.runs.size(), inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    expect_same_run(batch.runs[i], serial.run(plan, inputs[i]));
   }
 }
 

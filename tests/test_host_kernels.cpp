@@ -1,8 +1,8 @@
 // Host kernel layer tests: the sparse N:M gather kernels and the blocked
 // dense kernels must be bit-identical to the scalar reference ops — full
-// range, arbitrary ranged slices (which must stitch exactly), and the
-// reduction-split partial sums — across M in {4, 8, 16}, every NmPacked
-// layout, stride/pad edge cases and ResNet18's served conv shapes; and
+// range and arbitrary ranged slices (which must stitch exactly) — across
+// M in {4, 8, 16}, every NmPacked layout, stride/pad edge cases and
+// ResNet18's served conv shapes; and
 // the served models select no scalar instance on an AVX2 host. Plus the
 // WorkerPool the engines run them on.
 
@@ -206,44 +206,6 @@ TEST(HostKernels, FcBitExactDenseAndSparse) {
       host_fc_s8_into(d, input, w, bias, rq, t_mid, tokens, k_mid, k, out);
       EXPECT_TRUE(out == ref) << "ranged t=" << tokens << " m=" << m;
     }
-  }
-}
-
-TEST(HostKernels, FcPartialSumsReproduceTheReductionSplit) {
-  Rng rng(105);
-  const int tokens = 5, c = 96, k = 11;
-  const Tensor8 input = Tensor8::random({tokens, c}, rng);
-  const Tensor32 bias = random_bias(k, rng);
-  const Requant rq = test_requant();
-  for (const int m : {0, 4, 8}) {
-    const Tensor8 w = m == 0 ? random_weights(k, c, rng)
-                             : random_sparse_weights(k, c, m, rng);
-    const NmPacked packed =
-        m == 0 ? NmPacked{} : nm_pack(w.flat(), k, c, m, NmLayout::kSw);
-    const HostKernelDispatch d =
-        host_dispatch_for_fc(k, c, m == 0 ? nullptr : &packed);
-    const Tensor8 ref = fc_s8(input, w, bias, rq);
-
-    // split the reduction axis unevenly, sum partials in range order on
-    // top of the bias, requant once — must equal the unsplit kernel, and
-    // each partial must equal the reference partial
-    const std::vector<std::pair<int, int>> splits = {{0, 40}, {40, 41},
-                                                     {41, c}};
-    Tensor8 reduced({tokens, k});
-    std::vector<Tensor32> partials;
-    for (const auto& [c_s, c_e] : splits) {
-      partials.push_back(host_fc_s32_partial(d, input, w, c_s, c_e));
-      EXPECT_TRUE(partials.back() == fc_s32_partial(input, w, c_s, c_e))
-          << "m=" << m << " range [" << c_s << "," << c_e << ")";
-    }
-    for (int ti = 0; ti < tokens; ++ti) {
-      for (int ki = 0; ki < k; ++ki) {
-        int32_t acc = bias[ki];
-        for (const Tensor32& p : partials) acc += p.at({ti, ki});
-        reduced.at({ti, ki}) = rq.apply(acc);
-      }
-    }
-    EXPECT_TRUE(reduced == ref) << "m=" << m;
   }
 }
 

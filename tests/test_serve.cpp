@@ -396,12 +396,23 @@ TEST(Serve, PlanStoreCompilesEachConfigOnceAcrossTraffic) {
 TEST(Serve, DispatchAfterWarmHashesNoGraph) {
   // graph_fingerprint is a pass over every weight byte; after warm() the
   // dispatcher reads its cost table, so no dispatch may call it — on the
-  // modeled timeline or on the wall-clock server
+  // modeled timeline or on the wall-clock server. warm() itself only
+  // reads plans and plans the shard schedule: with every plan already in
+  // the store it hashes nothing either.
   auto& scans = metrics::registry().counter("compiler.graph_fingerprints");
+  const auto precompile = [](PlanStore& store, int model,
+                             const DispatchConfig& cfg) {
+    for (const int b : cfg.fused_batches) store.plan(model, b, 1);
+    store.plan(model, 1, cfg.num_clusters);
+  };
   {
     Harness h(4);
     const Graph g = scaled_resnet18();
-    const int m = h.add(g);
+    const int m = h.store.add_model(g);
+    precompile(h.store, m, h.dispatcher.config());
+    const uint64_t before_warm = scans.value();
+    h.dispatcher.warm(m);
+    EXPECT_EQ(scans.value(), before_warm);
     SloConfig slo;
     slo.max_wait_cycles = 0;
     slo.deadline_cycles = UINT64_MAX;
@@ -422,8 +433,12 @@ TEST(Serve, DispatchAfterWarmHashesNoGraph) {
     WallClockConfig cfg;
     cfg.max_batch = 2;
     cfg.watchdog_floor_ns = 30'000'000'000;  // a slow host must not redispatch
-    WallClockServer server(store, DispatchConfig{4, {1, 2}}, cfg);
+    const DispatchConfig dcfg{4, {1, 2}};
+    WallClockServer server(store, dcfg, cfg);
+    precompile(store, m, dcfg);
+    const uint64_t before_warm = scans.value();
     server.warm(m);
+    EXPECT_EQ(scans.value(), before_warm);
     const uint64_t before = scans.value();
     Rng rng(73);
     for (uint64_t id = 0; id < 4; ++id) {

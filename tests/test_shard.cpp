@@ -1,9 +1,11 @@
-// Multi-cluster sharding tests: bit-exactness of MultiClusterEngine
-// against the single-cluster ExecutionEngine on ResNet18/ViT for 1/2/4
-// shards, the single-cluster degeneration invariant (critical path ==
-// plan total), the kFcC partial-sum reduction path (dense and sparse),
+// Multi-cluster sharding tests: the ShardPlanner schedule (a modeled
+// placement; the host runs every plan whole on ExecutionEngine) — the
+// single-cluster degeneration invariant (critical path == plan total),
+// critical paths that shrink with clusters, the kFcC reduction split,
 // degenerate layers with fewer tiles than clusters, shard-count-salted
-// fingerprints, and shard-plan caching.
+// fingerprints and the batch-fused rejection, with every schedule passing
+// verify_shard — and shard-aware compiles that change tiles, not
+// numerics, on ResNet18/ViT for 1/2/4 clusters.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +14,8 @@
 #include "exec/engine.hpp"
 #include "models/models.hpp"
 #include "nn/prune.hpp"
-#include "shard/multi_cluster_engine.hpp"
+#include "shard/shard_planner.hpp"
+#include "verify/verify.hpp"
 
 namespace decimate {
 namespace {
@@ -80,9 +83,19 @@ Graph tiny_conv(uint64_t seed) {
   return g;
 }
 
-void expect_sharded_bit_exact(const Graph& graph,
-                              const std::vector<int>& in_shape,
-                              uint64_t seed) {
+/// Shard `plan` across `n` clusters; the schedule must verify clean.
+ShardPlan shard(const CompiledPlan& plan, int n) {
+  ShardPlan sp = ShardPlanner(n).plan(plan);
+  const VerifyReport report = verify_shard(plan, sp);
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  return sp;
+}
+
+/// A shard-aware compile changes tiles, not numerics: the 1/2/4-cluster
+/// plans of `graph` must run bit-exact with the 1-cluster plan.
+void expect_shard_aware_plans_bit_exact(const Graph& graph,
+                                        const std::vector<int>& in_shape,
+                                        uint64_t seed) {
   Rng rng(seed);
   const Tensor8 input = Tensor8::random(in_shape, rng);
   Compiler baseline_compiler(isa_options());
@@ -94,66 +107,20 @@ void expect_sharded_bit_exact(const Graph& graph,
   for (int n : {1, 2, 4}) {
     Compiler compiler(isa_options(n), cache);
     const CompiledPlan plan = compiler.compile(graph);
-    MultiClusterEngine mce(n);
-    const ShardedRun sharded = mce.run(plan, input);
-    EXPECT_TRUE(sharded.run.output == baseline.output)
-        << "sharded output differs at " << n << " clusters";
-    // the same shard-aware plan through the single-cluster engine agrees
-    const NetworkRun same_plan = engine.run(plan, input);
-    EXPECT_TRUE(sharded.run.output == same_plan.output);
-    EXPECT_EQ(sharded.num_clusters, n);
-    EXPECT_EQ(sharded.single_cluster_cycles, plan.total_cycles);
+    EXPECT_TRUE(engine.run(plan, input).output == baseline.output)
+        << "the " << n << "-cluster plan's output differs";
+    EXPECT_EQ(shard(plan, n).num_clusters, n);
   }
 }
 
-// --- bit-exactness ----------------------------------------------------------
+// --- numerics ---------------------------------------------------------------
 
-TEST(Shard, HostKernelShardSlicesMatchTheReferenceEngine) {
-  // sharded ranged host kernels (sparse + blocked _into counterparts) vs
-  // the scalar reference path, and vs an MCE forced onto the reference
-  // ranged ops — all three must produce identical bytes
-  const Graph g = scaled_resnet18();
-  Rng rng(31);
-  const Tensor8 input = Tensor8::random({16, 16, 4}, rng);
-  Compiler compiler(isa_options(4));
-  const CompiledPlan plan = compiler.compile(g);
-
-  ExecutionEngine ref_engine;
-  ref_engine.set_use_host_kernels(false);
-  const NetworkRun ref = ref_engine.run(plan, input);
-
-  MultiClusterEngine host_mce(4);  // host kernels on by default
-  EXPECT_TRUE(host_mce.run(plan, input).run.output == ref.output);
-
-  MultiClusterEngine ref_mce(4);
-  ref_mce.set_use_host_kernels(false);
-  EXPECT_TRUE(ref_mce.run(plan, input).run.output == ref.output);
+TEST(Shard, ShardAwarePlansBitExactWithSingleClusterResnet18) {
+  expect_shard_aware_plans_bit_exact(scaled_resnet18(), {16, 16, 4}, 41);
 }
 
-TEST(Shard, HostKernelFcReductionSplitMatchesTheReferenceEngine) {
-  // single-tile FC -> kFcC reduction split through host_fc_s32_partial,
-  // dense and sparse
-  for (const int m : {0, 8}) {
-    const Graph g = single_fc(1, 256, 16, m, 77);
-    Rng rng(78);
-    const Tensor8 input = Tensor8::random({1, 256}, rng);
-    Compiler compiler(isa_options(4));
-    const CompiledPlan plan = compiler.compile(g);
-    ExecutionEngine ref_engine;
-    ref_engine.set_use_host_kernels(false);
-    const NetworkRun ref = ref_engine.run(plan, input);
-    MultiClusterEngine mce(4);
-    const ShardedRun sharded = mce.run(plan, input);
-    EXPECT_TRUE(sharded.run.output == ref.output) << "m=" << m;
-  }
-}
-
-TEST(Shard, MultiClusterBitExactWithSingleClusterResnet18) {
-  expect_sharded_bit_exact(scaled_resnet18(), {16, 16, 4}, 41);
-}
-
-TEST(Shard, MultiClusterBitExactWithSingleClusterVit) {
-  expect_sharded_bit_exact(scaled_vit(), {64, 64, 4}, 42);
+TEST(Shard, ShardAwarePlansBitExactWithSingleClusterVit) {
+  expect_shard_aware_plans_bit_exact(scaled_vit(), {64, 64, 4}, 42);
 }
 
 // --- cycle model ------------------------------------------------------------
@@ -162,8 +129,7 @@ TEST(Shard, OneClusterDegeneratesToTheUnshardedSchedule) {
   const Graph g = scaled_resnet18();
   Compiler compiler(isa_options());
   const CompiledPlan plan = compiler.compile(g);
-  MultiClusterEngine mce(1);
-  const ShardPlan& sp = mce.shard_plan(plan);
+  const ShardPlan sp = shard(plan, 1);
   EXPECT_EQ(sp.critical_path_cycles, plan.total_cycles)
       << "a 1-cluster shard plan must reproduce the plan total exactly";
   EXPECT_EQ(sp.reduction_cycles, 0u);
@@ -174,41 +140,36 @@ TEST(Shard, CriticalPathShrinksWithClustersAndUtilizationIsSane) {
   const Graph g = scaled_resnet18();
   Compiler one(isa_options());
   const CompiledPlan p1 = one.compile(g);
-  Rng rng(43);
-  const Tensor8 input = Tensor8::random({16, 16, 4}, rng);
 
   uint64_t prev = p1.total_cycles;
   for (int n : {2, 4}) {
     Compiler compiler(isa_options(n), one.shared_latencies());
     const CompiledPlan plan = compiler.compile(g);
-    MultiClusterEngine mce(n);
-    const ShardedRun sharded = mce.run(plan, input);
-    EXPECT_LT(sharded.critical_path_cycles, prev)
+    const ShardPlan sp = shard(plan, n);
+    EXPECT_LT(sp.critical_path_cycles, prev)
         << "more clusters must shorten the critical path";
-    prev = sharded.critical_path_cycles;
+    prev = sp.critical_path_cycles;
     // reduction overhead is accounted inside the critical path
-    EXPECT_GT(sharded.reduction_cycles, 0u);
-    EXPECT_LT(sharded.reduction_cycles, sharded.critical_path_cycles);
-    ASSERT_EQ(sharded.cluster_busy_cycles.size(), static_cast<size_t>(n));
+    EXPECT_GT(sp.reduction_cycles, 0u);
+    EXPECT_LT(sp.reduction_cycles, sp.critical_path_cycles);
+    ASSERT_EQ(sp.cluster_busy_cycles.size(), static_cast<size_t>(n));
     for (int c = 0; c < n; ++c) {
-      EXPECT_LE(sharded.utilization(c), 1.0 + 1e-9);
+      EXPECT_LE(sp.utilization(c), 1.0 + 1e-9);
     }
-    EXPECT_GT(sharded.utilization(0), 0.5);
+    EXPECT_GT(sp.utilization(0), 0.5);
   }
   // the paper-style headline: >= 1.7x at 2 clusters against the
   // single-cluster plan (the full-size bench asserts the 4-cluster bar)
   Compiler two(isa_options(2), one.shared_latencies());
   const CompiledPlan p2 = two.compile(g);
-  MultiClusterEngine mce(2);
-  const ShardedRun sharded = mce.run(p2, input);
   EXPECT_GE(static_cast<double>(p1.total_cycles) /
-                static_cast<double>(sharded.critical_path_cycles),
+                static_cast<double>(shard(p2, 2).critical_path_cycles),
             1.7);
 }
 
-// --- the kFcC partial-sum reduction path ------------------------------------
+// --- the kFcC partial-sum reduction split -----------------------------------
 
-TEST(Shard, SingleTileFcSplitsTheReductionAxisBitExactly) {
+TEST(Shard, SingleTileFcSplitsTheReductionAxis) {
   // k = 4 output channels over c = 512 features compiles to one tile on
   // one cluster; sharding it across 4 clusters must switch to the
   // input-feature split and reduce int32 partials before requant.
@@ -218,22 +179,12 @@ TEST(Shard, SingleTileFcSplitsTheReductionAxisBitExactly) {
     const CompiledPlan plan = compiler.compile(g);
     ASSERT_EQ(plan.steps[0].tile_costs.size(), 1u);
 
-    MultiClusterEngine mce(4);
-    const ShardPlan& sp = mce.shard_plan(plan);
+    const ShardPlan sp = shard(plan, 4);
     EXPECT_EQ(sp.steps[0].axis, ShardAxis::kFcC);
     EXPECT_EQ(sp.steps[0].active_clusters(), 4);
     EXPECT_GT(sp.steps[0].reduce_cycles, 0u);
     EXPECT_LT(sp.critical_path_cycles, plan.total_cycles)
         << "splitting the reduction axis must beat one cluster";
-
-    ExecutionEngine engine;
-    Rng rng(45);
-    for (int i = 0; i < 4; ++i) {
-      const Tensor8 x = Tensor8::random({3, 512}, rng);
-      const ShardedRun sharded = mce.run(plan, x);
-      EXPECT_TRUE(sharded.run.output == engine.run(plan, x).output)
-          << "m=" << m << " input " << i;
-    }
   }
 }
 
@@ -246,23 +197,16 @@ TEST(Shard, LayerWithFewerTilesThanClustersLeavesClustersIdle) {
   ASSERT_LT(plan.steps[0].tile_costs.size(), 8u)
       << "the degenerate conv must not be able to fill 8 clusters";
 
-  MultiClusterEngine mce(8);
-  const ShardPlan& sp = mce.shard_plan(plan);
+  const ShardPlan sp = shard(plan, 8);
   EXPECT_LT(sp.steps[0].active_clusters(), 8);
   EXPECT_GE(sp.steps[0].active_clusters(), 1);
-
-  Rng rng(47);
-  const Tensor8 x = Tensor8::random({2, 4, 4}, rng);
-  ExecutionEngine engine;
-  const ShardedRun sharded = mce.run(plan, x);
-  EXPECT_TRUE(sharded.run.output == engine.run(plan, x).output);
   // idle clusters report zero utilization, active ones a positive one
   int idle = 0;
-  for (int c = 0; c < 8; ++c) idle += sharded.utilization(c) == 0.0 ? 1 : 0;
+  for (int c = 0; c < 8; ++c) idle += sp.utilization(c) == 0.0 ? 1 : 0;
   EXPECT_GT(idle, 0);
 }
 
-// --- fingerprints and caching -----------------------------------------------
+// --- fingerprints and rejection ---------------------------------------------
 
 TEST(Shard, PlanFingerprintSaltsOnShardConfig) {
   const Graph g = scaled_resnet18();
@@ -280,34 +224,13 @@ TEST(Shard, PlanFingerprintSaltsOnShardConfig) {
   EXPECT_NE(f1, plan_fingerprint(g, fused));
 }
 
-TEST(Shard, ShardPlanIsBuiltOncePerPlanIdentity) {
-  const Graph g = scaled_resnet18();
-  Compiler compiler(isa_options(2));
-  const CompiledPlan plan = compiler.compile(g);
-  MultiClusterEngine mce(2);
-  Rng rng(48);
-  const Tensor8 x = Tensor8::random({16, 16, 4}, rng);
-  mce.run(plan, x);
-  mce.run(plan, x);
-  EXPECT_EQ(mce.plans(), 1) << "a repeated plan must shard-plan once";
-
-  // a recompiled identical plan reuses the shard schedule as well
-  Compiler again(isa_options(2), compiler.shared_latencies());
-  const CompiledPlan twin = again.compile(g);
-  mce.run(twin, x);
-  EXPECT_EQ(mce.plans(), 1);
-}
-
 TEST(Shard, BatchFusedPlansAreRejected) {
   const Graph g = single_fc(8, 64, 32, 8, 49);
   CompileOptions opt = isa_options(1);
   opt.batch = 4;
   Compiler compiler(opt);
   const CompiledPlan plan = compiler.compile(g);
-  MultiClusterEngine mce(2);
-  Rng rng(50);
-  const Tensor8 x = Tensor8::random({8, 64}, rng);
-  EXPECT_THROW(mce.run(plan, x), Error);
+  EXPECT_THROW(ShardPlanner(2).plan(plan), Error);
 }
 
 }  // namespace
