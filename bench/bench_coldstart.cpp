@@ -1,14 +1,16 @@
 // Cold-start from a warm plan registry: the deployment story the artifact
 // subsystem exists for. Phase `--build` compiles every serving variant of
-// ResNet18 + a ViT FFN block (batch 1, batch 4, 2-cluster sharded),
-// publishing each plan to the registry and the ISS latency cache to
-// <registry>/latencies.bin. Phase `--serve` then stands up a *fresh*
-// PlanStore against the same registry and requests the same variants —
-// asserting the cold start performs ZERO compiles and ZERO ISS
-// invocations, and that every variant (run / run_batch / run of the
-// 2-cluster plan) is bit-exact with the build phase, and the 2-cluster
-// plan's ShardPlanner critical path identical (checked via CRCs carried
-// in <registry>/coldstart_build.tsv).
+// ResNet18 + a ViT FFN block (batch 1, batch 4, 2-cluster sharded) and
+// publishes each plan to the registry — nothing else. Phase `--serve`
+// then stands up a *fresh* PlanStore against the same registry and
+// requests the same variants — asserting the cold start performs ZERO
+// compiles and ZERO ISS invocations from the `.plan` files alone, that
+// every variant (run / run_batch / run of the 2-cluster plan) is
+// bit-exact with the build phase, that the 2-cluster plan's shard_plan()
+// critical path is identical (checked via CRCs carried in
+// <registry>/coldstart_build.tsv), and that every loaded plan
+// re-serializes to its artifact's exact bytes (the registry is
+// content-addressed).
 //
 // On Linux the serve phase additionally forks two child processes that
 // each mmap-load every artifact in the registry concurrently, then reads
@@ -37,6 +39,7 @@
 
 #include "artifact/registry.hpp"
 #include "common/serde.hpp"
+#include "compiler/fingerprint.hpp"
 #include "exec/engine.hpp"
 #include "models/models.hpp"
 #include "serve/plan_store.hpp"
@@ -62,10 +65,23 @@ struct PhaseStats {
   int compiles = 0;
   int registry_loads = 0;
   uint64_t iss_misses = 0;
+  int reserialize_mismatches = 0;  // plans whose bytes differ on disk
   std::map<std::string, uint32_t> crcs;  // model -> CRC over all outputs
 };
 
 constexpr int kVariantsPerModel = 3;  // batch=1, batch=4, 1x2-cluster
+
+/// Whether `plan` re-serializes to the exact bytes of the artifact the
+/// registry files it under: the registry is content-addressed only if a
+/// plan's bytes depend on nothing but its graph and options.
+bool reserializes_exactly(const PlanRegistry& registry,
+                          const CompiledPlan& plan, uint64_t graph_fp) {
+  std::vector<uint8_t> on_disk;
+  return serde::read_file(
+             registry.path_for(plan_fingerprint_from(graph_fp, plan.options)),
+             on_disk) &&
+         on_disk == artifact::serialize_plan(plan);
+}
 
 /// One full pass over every model and serving variant against `dir`.
 /// The first pass compiles + publishes; a later pass in a fresh process
@@ -74,10 +90,8 @@ PhaseStats run_phase(const std::string& dir) {
   const double t0 = now_ms();
   CompileOptions copt;
   copt.enable_isa = true;
-  // the registry carries the ISS warm file next to the artifacts
-  copt.latency_cache_path = dir + "/latencies.bin";
   PlanStore store(copt);
-  store.attach_registry(dir);
+  const auto registry = store.attach_registry(dir);
 
   Resnet18Options mopt;
   mopt.sparsity_m = 8;
@@ -111,19 +125,23 @@ PhaseStats run_phase(const std::string& dir) {
     const BatchRun br = engine.run_batch(p4, batch);
     for (const NetworkRun& r : br.runs) crc = serde::crc32(r.output.bytes(), crc);
     crc = serde::crc32(engine.run(pc, input).output.bytes(), crc);
-    // shard planning a loaded plan measures any kFcC split through the
-    // plan's latency cache: the CRC proves the schedule, the ISS count
-    // that it came from the registry
-    const uint64_t critical = ShardPlanner(2).plan(pc).critical_path_cycles;
+    // shard planning reads plan data only: the CRC proves a loaded plan
+    // schedules exactly like the one that was compiled
+    const uint64_t critical = shard_plan(pc).critical_path_cycles;
     crc = serde::crc32({reinterpret_cast<const uint8_t*>(&critical),
                         sizeof critical},
                        crc);
     st.crcs[spec.name] = crc;
+
+    const uint64_t graph_fp = graph_fingerprint(*spec.graph);
+    for (const CompiledPlan* p : {&p1, &p4, &pc}) {
+      st.reserialize_mismatches +=
+          reserializes_exactly(*registry, *p, graph_fp) ? 0 : 1;
+    }
   }
   st.compiles = store.compiles();
   st.registry_loads = store.registry_loads();
   st.iss_misses = store.shared_latencies()->misses();
-  store.save_latencies();
   st.wall_ms = now_ms() - t0;
   return st;
 }
@@ -324,7 +342,9 @@ void emit_json(std::ostream& os, const std::string& dir, bool have_build,
   os << "  \"serve\": {\"wall_ms\": " << serve.wall_ms
      << ", \"compiles\": " << serve.compiles
      << ", \"registry_loads\": " << serve.registry_loads
-     << ", \"iss_misses\": " << serve.iss_misses << "},\n";
+     << ", \"iss_misses\": " << serve.iss_misses
+     << ", \"reserialize_mismatches\": " << serve.reserialize_mismatches
+     << "},\n";
   if (have_build && serve.wall_ms > 0.0) {
     os << "  \"coldstart_speedup\": " << build.wall_ms / serve.wall_ms
        << ",\n";
@@ -408,6 +428,16 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: expected " << 2 * kVariantsPerModel
               << " registry loads, got " << serve.registry_loads << "\n";
     ok = false;
+  }
+  if (serve.reserialize_mismatches != 0) {
+    std::cerr << "FAIL: " << serve.reserialize_mismatches
+              << " loaded plans do not re-serialize to their artifact's "
+                 "bytes\n";
+    ok = false;
+  } else {
+    std::cout << "every loaded plan re-serializes to its artifact's exact "
+                 "bytes ("
+              << 2 * kVariantsPerModel << " plans)\n";
   }
   bool bit_exact = have_build;
   if (have_build) {

@@ -19,9 +19,8 @@
 // seconds; its stdout (the modeled SLO sweep) is pinned byte for byte by
 // the golden_bench_serving_smoke ctest. --registry attaches DIR as the PlanStore's artifact tier:
 // warm-up plans come from (and freshly compiled ones are published to)
-// the registry, and the latency cache persists to DIR/latencies.bin —
-// a second run against the same DIR warms up with zero compiles and
-// zero ISS invocations.
+// the registry — a second run against the same DIR warms up with zero
+// compiles and zero ISS invocations.
 //
 // --wallclock appends a wall-clock overload sweep (WallClockServer, real
 // threads, steady-clock deadlines): seeded Poisson
@@ -518,11 +517,6 @@ int main(int argc, char** argv) {
   constexpr int kClusters = 4;
   CompileOptions copt;
   copt.enable_isa = true;
-  if (!registry_dir.empty()) {
-    // the registry carries the ISS warm file alongside the artifacts;
-    // setting the path before construction makes the store load it
-    copt.latency_cache_path = registry_dir + "/latencies.bin";
-  }
   PlanStore store(copt);
   if (!registry_dir.empty()) store.attach_registry(registry_dir);
   DispatchConfig cfg;
@@ -670,7 +664,6 @@ int main(int argc, char** argv) {
   std::cout << "compiles: " << compiles_warm << " at warm-up, "
             << compiles_total << " after serving\n";
   if (!registry_dir.empty()) {
-    store.save_latencies();
     std::cout << "registry " << registry_dir << ": " << store.registry_loads()
               << " plans loaded, " << compiles_total << " compiled+published\n";
   }

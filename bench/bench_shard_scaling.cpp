@@ -2,7 +2,7 @@
 // speedup over the single-cluster plan, per-cluster utilization and
 // interconnect/reduction overhead for 1/2/4/8 clusters on ResNet18
 // (conv-dominated, OY/channel tile shards) and the ViT FFN block
-// (FC-dominated, token/K tile shards), read from each ShardPlanner
+// (FC-dominated, token/K tile shards), read from each shard_plan()
 // schedule. Every schedule must pass verify_shard with zero findings
 // (slices disjoint and complete, cycle totals consistent) — the bench
 // fails hard otherwise. Results land in BENCH_shard.json.
@@ -41,7 +41,7 @@ struct Row {
 
 /// Shard `graph` across every cluster count: one shard-aware compile per
 /// count (shared latency cache — tiles re-simulate only for new shapes),
-/// scheduled by ShardPlanner and checked by verify_shard.
+/// scheduled by shard_plan() and checked by verify_shard.
 void scale_model(const std::string& name, const Graph& graph,
                  const std::vector<int>& cluster_counts,
                  std::vector<Row>& rows) {
@@ -56,7 +56,7 @@ void scale_model(const std::string& name, const Graph& graph,
     opt.num_clusters = n;
     Compiler compiler(opt, cache);
     const CompiledPlan plan = compiler.compile(graph);
-    const ShardPlan sp = ShardPlanner(n).plan(plan);
+    const ShardPlan sp = shard_plan(plan);
     const VerifyReport report = verify_shard(plan, sp);
     if (!report.clean()) {
       std::cerr << name << " at " << n << " clusters: " << report.to_string()

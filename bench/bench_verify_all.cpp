@@ -55,8 +55,7 @@ Row verify_config(const std::string& name, const Graph& graph, int m,
   VerifyReport rep = verify_plan(plan);
   row.checks += rep.checks_run;
   if (clusters > 1 && batch == 1) {
-    ShardPlanner planner(clusters);
-    const ShardPlan shard = planner.plan(plan);
+    const ShardPlan shard = shard_plan(plan);
     const VerifyReport srep = verify_shard(plan, shard);
     row.checks += srep.checks_run;
     rep.findings.insert(rep.findings.end(), srep.findings.begin(),

@@ -23,9 +23,8 @@ constexpr char kMagic[4] = {'D', 'P', 'L', 'A'};
 enum Section : uint8_t {
   kGraphSection = 0,
   kPlanSection = 1,
-  kLatencySection = 2,
-  kWeightSection = 3,
-  kSectionCount = 4,
+  kWeightSection = 2,
+  kSectionCount = 3,
 };
 
 
@@ -619,13 +618,6 @@ std::vector<uint8_t> serialize_plan(const CompiledPlan& plan) {
   plan_sec.u32(static_cast<uint32_t>(plan.steps.size()));
   for (const PlanStep& s : plan.steps) write_step(plan_sec, blob, s);
 
-  serde::Writer lat_sec;
-  if (plan.latencies) {
-    plan.latencies->append_records(lat_sec);
-  } else {
-    lat_sec.u64(0);
-  }
-
   serde::Writer out;
   out.bytes(kMagic, sizeof(kMagic));
   out.u32(kFormatVersion);
@@ -645,7 +637,7 @@ std::vector<uint8_t> serialize_plan(const CompiledPlan& plan) {
   DECIMATE_CHECK(out.pos() == kHeaderBytes, "plan artifact header drifted");
 
   const serde::Writer* sections[kSectionCount] = {
-      &graph_sec, &plan_sec, &lat_sec, &blob.writer()};
+      &graph_sec, &plan_sec, &blob.writer()};
   for (uint8_t id = 0; id < kSectionCount; ++id) {
     // the weight section is 64-byte aligned in the file so its 64-byte-
     // aligned entries stay aligned through a (page-aligned) mmap; other
@@ -746,10 +738,24 @@ namespace {
 CompiledPlan load_plan_impl(std::span<const uint8_t> bytes,
                             std::shared_ptr<const void> keepalive,
                             const std::string& what,
-                            std::shared_ptr<TileLatencyCache> latencies) {
+                            std::optional<uint64_t> expect_fingerprint) {
   VerifyReport admission = verify_artifact(bytes, what);
   if (!admission.ok()) throw VerifyError(std::move(admission));
   const Header h = read_header(bytes, what);
+  const auto refuse = [&](const std::string& msg) {
+    admission.findings.push_back(
+        {VerifySeverity::kError, "artifact.fingerprint", 0, what + msg});
+    throw VerifyError(std::move(admission));
+  };
+
+  // artifact.fingerprint, before anything is rehydrated: an artifact
+  // filed under one plan identity must not be another plan
+  if (expect_fingerprint.has_value()) {
+    ++admission.checks_run;
+    if (h.plan_fp != *expect_fingerprint) {
+      refuse(": header names another plan identity than the one requested");
+    }
+  }
 
   const auto weights = section_span(bytes, h.sections[kWeightSection]);
   const BlobReader blob(weights, keepalive, what);
@@ -773,11 +779,6 @@ CompiledPlan load_plan_impl(std::span<const uint8_t> bytes,
   }
   plan.owned_graph = graph;
   plan.graph = graph.get();
-  plan.latencies = latencies ? std::move(latencies)
-                             : std::make_shared<TileLatencyCache>();
-  serde::Reader lat_r(section_span(bytes, h.sections[kLatencySection]),
-                      what + " [latency section]");
-  plan.latencies->merge_records(lat_r);
 
   // artifact.fingerprint: the header's identity must re-derive from the
   // rehydrated content — a mismatch means the artifact lies about what it
@@ -787,13 +788,10 @@ CompiledPlan load_plan_impl(std::span<const uint8_t> bytes,
   const uint64_t graph_fp = graph_fingerprint(*graph);
   const uint64_t plan_fp = plan_fingerprint_from(graph_fp, plan.options);
   if (graph_fp != h.graph_fp || plan_fp != h.plan_fp) {
-    admission.findings.push_back(
-        {VerifySeverity::kError, "artifact.fingerprint", 0,
-         what + ": rehydrated fingerprints do not match the header"});
-    throw VerifyError(std::move(admission));
+    refuse(": rehydrated fingerprints do not match the header");
   }
 
-  // the PR-7 static verifier is the final admission gate, exactly as for
+  // the static verifier is the final admission gate, exactly as for
   // freshly compiled plans entering the serving PlanStore
   VerifyReport verdict = verify_plan(plan);
   if (!verdict.ok()) throw VerifyError(std::move(verdict));
@@ -803,22 +801,22 @@ CompiledPlan load_plan_impl(std::span<const uint8_t> bytes,
 }  // namespace
 
 CompiledPlan load_plan(std::shared_ptr<MappedFile> file,
-                       std::shared_ptr<TileLatencyCache> latencies) {
+                       std::optional<uint64_t> expect_fingerprint) {
   DECIMATE_CHECK(file != nullptr, "load_plan: null mapping");
   const auto bytes = file->bytes();
   const std::string what = file->path();
-  return load_plan_impl(bytes, file, what, std::move(latencies));
+  return load_plan_impl(bytes, file, what, expect_fingerprint);
 }
 
 CompiledPlan load_plan_from_bytes(std::span<const uint8_t> bytes,
                                   const std::string& what,
-                                  std::shared_ptr<TileLatencyCache> latencies) {
+                                  std::optional<uint64_t> expect_fingerprint) {
   // re-home into 64-byte-aligned storage so payload views keep the
   // alignment the format guarantees through a page-aligned mmap
   auto aligned = std::make_shared<AlignedVec<uint8_t>>(bytes.begin(),
                                                        bytes.end());
   const std::span<const uint8_t> span(*aligned);
-  return load_plan_impl(span, aligned, what, std::move(latencies));
+  return load_plan_impl(span, aligned, what, expect_fingerprint);
 }
 
 }  // namespace decimate::artifact

@@ -3,7 +3,7 @@
 // format (`.plan` files).
 //
 // Layout: a fixed header (magic, format version, plan/graph fingerprints,
-// section table, header CRC) followed by four sections:
+// section table, header CRC) followed by three sections:
 //
 //   graph    the full Graph: topology, geometries, requant constants and
 //            every parameter tensor — enough to rehydrate a Graph whose
@@ -13,30 +13,31 @@
 //            PlanStep: kernel choice, tile plans, tile costs, shard
 //            metadata, layer reports, and weight-section references for
 //            the NmPacked payloads and host-dispatch gather arrays.
-//   latency  the compile-time TileLatencyCache records
-//            (TileLatencyCache::append_records), so a loaded plan can be
-//            sharded (kFcC tile measurement) without an ISS in the
-//            serving process.
 //   weights  the payload blob: NmPacked values/offsets, the host gather
 //            arrays, and gemm biases, each 64-byte aligned. This is the
 //            section N server processes share physically: load_plan
 //            builds SharedBuf views that alias the file mapping instead
 //            of copying.
 //
-// Every structured field is explicit-width little-endian (common/serde);
-// the weight blob is raw little-endian element bytes (views reinterpret
-// them in place, so the format requires a little-endian host — asserted
-// at compile time).
+// The bytes are a function of the plan alone — its graph and compile
+// options — so one plan identity always serializes to the same file,
+// whatever else the process compiled. Every structured field is
+// explicit-width little-endian (common/serde); the weight blob is raw
+// little-endian element bytes (views reinterpret them in place, so the
+// format requires a little-endian host — asserted at compile time).
 //
 // Admission: verify_artifact() runs the structural artifact.* checks
 // (magic/version, section bounds, per-section CRCs) without rehydrating;
-// load_plan() runs them, rehydrates, re-derives both fingerprints from
-// the rehydrated content (artifact.fingerprint), and finally runs the
-// PR-7 static verifier (verify_plan) — a corrupt or forged artifact is
-// rejected before anything executes from it.
+// load_plan() runs them, refuses a header that names another plan
+// identity than the caller expects, rehydrates, re-derives both
+// fingerprints from the rehydrated content (artifact.fingerprint), and
+// finally runs the static plan verifier (verify_plan) — a corrupt or
+// forged artifact is rejected before anything executes from it, and
+// leaves no state behind.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,14 +48,15 @@
 
 namespace decimate::artifact {
 
-// v2: one host gather plan (row_start, uint16 col, val) for both sparse
-// families. Artifacts of any other version are refused.
-constexpr uint32_t kFormatVersion = 2;
+// v3: graph, plan and weight sections only (v2 also carried the
+// compile-time latency-cache records). Artifacts of any other version
+// are refused.
+constexpr uint32_t kFormatVersion = 3;
 
 /// Fixed header size: magic + version + plan/graph fingerprints +
-/// 4-entry section table + header CRC (the last 4 bytes of the header).
+/// 3-entry section table + header CRC (the last 4 bytes of the header).
 /// Exposed so tests can tamper with specific header fields.
-constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8 + 4 + 4 * (1 + 8 + 8 + 4) + 4;
+constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8 + 4 + 3 * (1 + 8 + 8 + 4) + 4;
 
 /// Parsed header of a `.plan` byte buffer.
 struct ArtifactInfo {
@@ -87,20 +89,20 @@ VerifyReport verify_artifact(std::span<const uint8_t> bytes,
 /// Rehydrate a plan from a mapped artifact. SharedBuf payloads (NmPacked
 /// values/offsets, host gather arrays) alias the mapping — `file` is
 /// kept alive by the returned plan; the plan owns its rehydrated graph
-/// (CompiledPlan::owned_graph). Latency records are merged into
-/// `latencies` (a fresh cache when null) and the plan costed with it.
-/// Admission gate: runs verify_artifact, the artifact.fingerprint
-/// re-derivation, and verify_plan; throws VerifyError on any error-level
-/// finding.
+/// (CompiledPlan::owned_graph).
+/// Admission gate: runs verify_artifact, then (when `expect_fingerprint`
+/// is set) refuses a header naming another plan identity, then the
+/// artifact.fingerprint re-derivation and verify_plan; throws
+/// VerifyError on any error-level finding.
 CompiledPlan load_plan(std::shared_ptr<MappedFile> file,
-                       std::shared_ptr<TileLatencyCache> latencies = nullptr);
+                       std::optional<uint64_t> expect_fingerprint = {});
 
 /// load_plan from a heap buffer (tests, non-mmap callers): same checks;
 /// the bytes are copied into 64-byte-aligned storage owned by the
 /// returned plan's payload views.
 CompiledPlan load_plan_from_bytes(std::span<const uint8_t> bytes,
                                   const std::string& what,
-                                  std::shared_ptr<TileLatencyCache> latencies =
-                                      nullptr);
+                                  std::optional<uint64_t> expect_fingerprint =
+                                      {});
 
 }  // namespace decimate::artifact

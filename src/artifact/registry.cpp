@@ -71,13 +71,8 @@ bool tmp_is_stale(const fs::path& p) {
 
 }  // namespace
 
-PlanRegistry::PlanRegistry(std::string dir,
-                           std::shared_ptr<TileLatencyCache> latencies)
-    : dir_(std::move(dir)),
-      latencies_(latencies ? std::move(latencies)
-                           : std::make_shared<TileLatencyCache>()) {
+PlanRegistry::PlanRegistry(std::string dir) : dir_(std::move(dir)) {
   fs::create_directories(dir_);
-  latency_file_ = (fs::path(dir_) / "latencies.bin").string();
   // Startup hygiene, half 1: sweep temp files a crashed publish left
   // behind. Readers never see temps (publish is write-temp + rename), so
   // the only cost of a leak is disk — but a registry dir that grows
@@ -148,18 +143,19 @@ std::optional<CompiledPlan> PlanRegistry::load(uint64_t fingerprint) {
   }
   try {
     // load_plan runs the whole admission gate (artifact.* structural
-    // checks, fingerprint re-derivation, the static plan verifier); the
-    // verify span wraps it so trace consumers see admission cost
-    // separately from the mmap
+    // checks, the identity check against the requested fingerprint,
+    // fingerprint re-derivation, the static plan verifier); the verify
+    // span wraps it so trace consumers see admission cost separately
+    // from the mmap
     trace::TraceScope verify_span(trace::Cat::kArtifact, "registry.verify");
     CompiledPlan plan = [&] {
       if (fired.kind == fault::Kind::kBitFlip) {
         std::vector<uint8_t> corrupt(file->bytes().begin(),
                                      file->bytes().end());
         fault::FaultInjector::installed()->flip_bit(corrupt, fired.seq);
-        return artifact::load_plan_from_bytes(corrupt, path, latencies_);
+        return artifact::load_plan_from_bytes(corrupt, path, fingerprint);
       }
-      return artifact::load_plan(std::move(file), latencies_);
+      return artifact::load_plan(std::move(file), fingerprint);
     }();
     metrics::registry().counter("artifact.hits").inc();
     metrics::registry().histogram("artifact.load_ns").observe(now_ns() - t0);

@@ -7,23 +7,25 @@
 //   <dir>/index.tsv                  human-greppable index (fingerprint,
 //                                    bytes, weight bytes), rebuilt on
 //                                    every publish
-//   <dir>/latencies.bin              optional shared TileLatencyCache
-//                                    warm file (written by save_latencies)
 //
-// Publishing is atomic (write temp + rename), so concurrent publishers
-// and a crashed process never leave a torn artifact: readers see either
-// nothing or complete bytes. Loading mmaps the artifact read-only and
-// rehydrates through the admission gate (artifact.* structural checks +
-// the PR-7 static verifier); every SharedBuf payload in the returned
-// plan aliases the mapping, so N processes serving the same registry
-// share one physical copy of each plan's weight section.
+// An artifact's bytes are a function of its plan identity, so the
+// registry is content-addressed: re-publishing a fingerprint rewrites
+// identical bytes. Publishing is atomic (write temp + rename), so
+// concurrent publishers and a crashed process never leave a torn
+// artifact: readers see either nothing or complete bytes. Loading mmaps
+// the artifact read-only and rehydrates through the admission gate
+// (artifact.* structural checks, the identity check — the header must
+// name the fingerprint the file is filed under — and the static plan
+// verifier); every SharedBuf payload in the returned plan aliases the
+// mapping, so N processes serving the same registry share one physical
+// copy of each plan's weight section. Loading touches no shared state:
+// a rejected artifact leaves nothing behind.
 //
 // Observability: counters artifact.{hits,misses,publishes,
 // verify_rejects}, histogram artifact.load_ns, spans registry.load /
 // registry.mmap / registry.verify / registry.publish (Cat::kArtifact).
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,18 +45,14 @@ struct IndexEntry {
 
 class PlanRegistry {
  public:
-  /// Open (creating the directory if needed). `latencies`: the cache
-  /// loaded plans are costed with; artifact latency sections merge into
-  /// it, so serve-time shard planning over loaded plans is ISS-free.
-  /// A fresh cache is created when omitted.
+  /// Open (creating the directory if needed).
   ///
   /// Startup hygiene: sweeps stale `*.tmp` files a crashed publisher left
   /// behind (a temp whose writer pid is dead, or an un-suffixed temp old
   /// enough that no writer can still hold it) — counted in
   /// artifact.stale_tmp_swept — and parses index.tsv tolerantly, so a
   /// torn index never fails the open (see index_entries()).
-  explicit PlanRegistry(std::string dir,
-                        std::shared_ptr<TileLatencyCache> latencies = nullptr);
+  explicit PlanRegistry(std::string dir);
 
   /// Serialize and atomically publish a plan under its fingerprint.
   /// Re-publishing an identical fingerprint overwrites (the bytes are a
@@ -64,7 +62,8 @@ class PlanRegistry {
 
   /// Load the plan with this fingerprint through the admission gate.
   /// Returns nullopt when no such artifact exists; throws VerifyError on
-  /// a corrupt/forged artifact, decimate::Error on I/O failure.
+  /// a corrupt/forged artifact or one whose header names another plan
+  /// identity (artifact.fingerprint), decimate::Error on I/O failure.
   std::optional<CompiledPlan> load(uint64_t fingerprint);
 
   /// Whether an artifact for this fingerprint exists on disk.
@@ -84,17 +83,11 @@ class PlanRegistry {
   std::string path_for(uint64_t fingerprint) const;
 
   const std::string& dir() const { return dir_; }
-  const std::string& latency_file() const { return latency_file_; }
-  std::shared_ptr<TileLatencyCache> shared_latencies() const {
-    return latencies_;
-  }
 
  private:
   void rewrite_index() const;
 
   std::string dir_;
-  std::string latency_file_;
-  std::shared_ptr<TileLatencyCache> latencies_;
 };
 
 }  // namespace decimate

@@ -27,10 +27,10 @@ struct CompileOptions {
   // stay per-image (amortized). Numerics are unaffected — images are
   // independent.
   int batch = 1;
-  // Cluster count the plan is sharded across (see shard/). When > 1, the
-  // tile search is constrained to produce at least this many tiles per
-  // gemm/vector step where the geometry allows, so the ShardPlanner can
-  // hand every cluster work. Changes tile schedules (and therefore plan
+  // Cluster count the plan is sharded across (see shard/; shard_plan()
+  // reads it from here). When > 1, the tile search is constrained to
+  // produce at least this many tiles per gemm/vector step where the
+  // geometry allows, so the shard planner can hand every cluster work. Changes tile schedules (and therefore plan
   // identity — plan_fingerprint salts on it); numerics are unaffected.
   int num_clusters = 1;
   // Run the static plan verifier (src/verify) as a compile post-pass and

@@ -551,7 +551,6 @@ CompiledPlan Compiler::compile(const Graph& graph) {
   CompiledPlan plan;
   plan.graph = &graph;
   plan.options = opt_;
-  plan.latencies = cache_;
 
   // decide weight residency for the whole model
   int64_t deployed = 0;

@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
+#include "exec/latency_cache.hpp"
 #include "exec/plan.hpp"
 #include "sim/cluster.hpp"
 #include "sim/dma.hpp"
@@ -20,8 +21,7 @@ namespace decimate {
 
 /// Cluster-config salt for TileLatencyCache keys: measured cycles depend
 /// on the core count / lockstep / forwarding configuration, and the cache
-/// may be shared between compilers (and the ShardPlanner) with different
-/// options.
+/// may be shared between compilers with different options.
 int tile_cfg_salt(const CompileOptions& opt);
 
 class Compiler {

@@ -12,11 +12,11 @@ namespace decimate {
 namespace {
 
 // File layout: magic, version, CRC of the record block, then the
-// count-prefixed records (append_records). Each record encodes the full
-// TileKey tuple plus the measured cycles in explicit little-endian
-// fields (common/serde.hpp); bumping kVersion invalidates stale files
+// count-prefixed records. Each record encodes the full TileKey tuple plus
+// the measured cycles in explicit little-endian fields
+// (common/serde.hpp); bumping kVersion invalidates stale files
 // wholesale. v1 wrote host-endian packed structs; v2 is the portable
-// serde encoding shared with the plan-artifact latency section.
+// serde encoding.
 constexpr char kMagic[4] = {'D', 'T', 'L', 'C'};
 constexpr uint32_t kVersion = 2;
 
@@ -45,44 +45,24 @@ std::pair<TileKey, uint64_t> read_record(serde::Reader& r) {
 
 }  // namespace
 
-size_t TileLatencyCache::append_records(serde::Writer& w) const {
+size_t TileLatencyCache::save(const std::string& path) const {
   // snapshot ready entries under the lock; in-flight simulations on
-  // other threads are skipped (they will be in the next snapshot)
-  std::vector<std::pair<TileKey, uint64_t>> records;
+  // other threads are skipped (they will be in the next save)
+  std::vector<std::pair<TileKey, uint64_t>> ready;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    records.reserve(cache_.size());
+    ready.reserve(cache_.size());
     for (const auto& [key, fut] : cache_) {
       if (fut.wait_for(std::chrono::seconds(0)) !=
           std::future_status::ready) {
         continue;
       }
-      records.emplace_back(key, fut.get());
+      ready.emplace_back(key, fut.get());
     }
   }
-  w.u64(records.size());
-  for (const auto& [key, cycles] : records) write_record(w, key, cycles);
-  return records.size();
-}
-
-size_t TileLatencyCache::merge_records(serde::Reader& r) {
-  const uint64_t count = r.u64();
-  size_t inserted = 0;
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (uint64_t i = 0; i < count; ++i) {
-    const auto [key, cycles] = read_record(r);
-    if (cache_.count(key) != 0) continue;  // a measured value wins
-    std::promise<uint64_t> prom;
-    prom.set_value(cycles);
-    cache_.emplace(key, prom.get_future().share());
-    ++inserted;
-  }
-  return inserted;
-}
-
-size_t TileLatencyCache::save(const std::string& path) const {
   serde::Writer records;
-  const size_t count = append_records(records);
+  records.u64(ready.size());
+  for (const auto& [key, cycles] : ready) write_record(records, key, cycles);
 
   serde::Writer out;
   out.bytes(kMagic, sizeof(kMagic));
@@ -90,7 +70,7 @@ size_t TileLatencyCache::save(const std::string& path) const {
   out.u32(serde::crc32(records.buffer()));
   out.bytes(records.buffer().data(), records.buffer().size());
   serde::write_file_atomic(path, out.buffer());
-  return count;
+  return ready.size();
 }
 
 size_t TileLatencyCache::load(const std::string& path) {
@@ -111,7 +91,18 @@ size_t TileLatencyCache::load(const std::string& path) {
   DECIMATE_CHECK(serde::crc32(records) == crc,
                  "latency cache file " << path << " is corrupt (CRC)");
   serde::Reader rr(records, "latency cache records of " + path);
-  return merge_records(rr);
+  const uint64_t count = rr.u64();
+  size_t inserted = 0;
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (uint64_t i = 0; i < count; ++i) {
+    const auto [key, cycles] = read_record(rr);
+    if (cache_.count(key) != 0) continue;  // a measured value wins
+    std::promise<uint64_t> prom;
+    prom.set_value(cycles);
+    cache_.emplace(key, prom.get_future().share());
+    ++inserted;
+  }
+  return inserted;
 }
 
 }  // namespace decimate

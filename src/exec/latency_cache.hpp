@@ -1,13 +1,16 @@
 #pragma once
-// Structured ISS latency cache.
+// Structured ISS latency cache: the compiler's memo of measured tile
+// cycles.
 //
 // Each unique tile shape is simulated on the ISS exactly once; the result
 // is keyed by a typed (domain, kernel kind, M, geometry, cluster config)
 // tuple instead of the stringly key the original schedule executor used.
 // The cache is shared: a Compiler threads one instance through every plan
-// it builds (CompiledPlan keeps a reference), so compiling N graphs — or
-// executing one plan over an arbitrarily large batch — re-simulates each
-// unique (kernel, tile geometry) only once.
+// it builds, so compiling N graphs re-simulates each unique (kernel, tile
+// geometry) only once. A compiled plan copies the cycles it needs into
+// its steps and keeps no reference to the cache, and `.plan` artifacts
+// carry no cache records: what a plan contains never depends on what
+// else the process compiled.
 //
 // Thread safety: measure() may be called from concurrent compiles and the
 // batch-pipeline workers. The map is mutex-guarded, and each key holds a
@@ -26,7 +29,6 @@
 #include <string>
 #include <tuple>
 
-#include "common/serde.hpp"
 #include "compiler/graph.hpp"
 #include "kernels/abi.hpp"
 #include "trace/metrics.hpp"
@@ -124,7 +126,7 @@ class TileLatencyCache {
   }
 
   /// Persist every measured entry to `path` (versioned binary header +
-  /// fixed-size key/cycles records, host endianness). In-flight entries
+  /// fixed-size little-endian key/cycles records). In-flight entries
   /// (simulations still running on another thread) are skipped. Returns
   /// the number of entries written; throws on I/O failure.
   size_t save(const std::string& path) const;
@@ -137,16 +139,6 @@ class TileLatencyCache {
   /// loaded key is a hit with no simulation, which is the point: a warm
   /// file makes plan compiles ISS-free across process restarts.
   size_t load(const std::string& path);
-
-  /// Append every ready entry as a count-prefixed record block to `w`
-  /// (the record layout save() uses, without the file header). The plan
-  /// artifact embeds the compile-time cache this way, so a registry-
-  /// loaded plan can shard (kFcC tile measurement) without an ISS.
-  size_t append_records(serde::Writer& w) const;
-
-  /// Merge a count-prefixed record block written by append_records();
-  /// existing keys win, exactly like load(). Returns entries inserted.
-  size_t merge_records(serde::Reader& r);
 
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);

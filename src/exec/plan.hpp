@@ -9,6 +9,10 @@
 // input-independent and computed at compile time. The ExecutionEngine
 // only runs the numerics (reference ops, bit-exact mirrors of the
 // kernels) and stamps the precomputed reports onto each run.
+//
+// A plan is data: it holds no reference to the cache or compiler that
+// costed it, so its content (and its `.plan` artifact bytes) depend only
+// on its graph and compile options.
 
 #include <memory>
 #include <string>
@@ -17,7 +21,6 @@
 #include "compiler/graph.hpp"
 #include "compiler/pattern.hpp"
 #include "compiler/tiling.hpp"
-#include "exec/latency_cache.hpp"
 #include "nn/host_kernels.hpp"
 #include "nn/nm_format.hpp"
 #include "sim/memory_map.hpp"
@@ -69,8 +72,6 @@ enum class ShardAxis : uint8_t {
   kNone = 0,   // serial / marshalling / whole-tensor reduction: one cluster
   kGemmTiles,  // conv oy x k / fc tok x k output tiles: disjoint rectangles
   kRows,       // chunked row-parallel vector op (rows are independent)
-  kFcC,        // planner-chosen input-feature split of a single-tile FC:
-               // int32 partial sums, reduced in cluster order before requant
 };
 
 /// Output footprint of one tile — which slice of the step's output it
@@ -120,9 +121,7 @@ struct PlanStep {
                                // and the report is per-image amortized
   // shard metadata: which axis partitions this step across clusters, and
   // each tile's output slice (parallel to tile_costs; empty when the step
-  // is not tile-shardable). kFcC is never set here — the ShardPlanner
-  // switches a single-tile FC to it when the tile grid cannot feed every
-  // cluster.
+  // is not tile-shardable)
   ShardAxis shard_axis = ShardAxis::kNone;
   std::vector<ShardTile> tiles_meta;
   LayerReport report;                // precomputed, input-independent
@@ -143,10 +142,6 @@ struct CompiledPlan {
   int64_t total_macs = 0;     // dense-equivalent
   uint64_t total_cycles = 0;  // Σ per-layer pipelined totals
   std::vector<PlanStep> steps;  // one per node, ids 1..graph->size()-1
-
-  /// The latency cache this plan was costed with; shared with the owning
-  /// Compiler so later compiles / engines reuse every ISS measurement.
-  std::shared_ptr<TileLatencyCache> latencies;
 
   double macs_per_cycle() const {
     return total_cycles ? static_cast<double>(total_macs) /

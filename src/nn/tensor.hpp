@@ -60,12 +60,17 @@ class Tensor {
 
  private:
   static size_t checked_numel(const std::vector<int>& shape) {
+    // each dim is bounded by what is left of the limit before it is
+    // multiplied in, so the running product never overflows
+    constexpr int64_t kMaxNumel = (int64_t{1} << 31) - 1;
     int64_t n = 1;
     for (int d : shape) {
       DECIMATE_CHECK(d > 0, "tensor dims must be positive, got " << d);
+      DECIMATE_CHECK(d <= kMaxNumel / n,
+                     "tensor too large: more than " << kMaxNumel
+                                                    << " elements");
       n *= d;
     }
-    DECIMATE_CHECK(n < (1ll << 31), "tensor too large: " << n);
     return static_cast<size_t>(n);
   }
 

@@ -122,8 +122,7 @@ void Dispatcher::warm(int model) {
   }
   // the shard schedule is only read here: the table keeps what
   // kShardedSingle needs and the schedule itself is dropped
-  const ShardPlan sp = ShardPlanner(cfg_.num_clusters)
-                           .plan(store_.plan(model, 1, cfg_.num_clusters));
+  const ShardPlan sp = shard_plan(store_.plan(model, 1, cfg_.num_clusters));
   table.shard_critical_cycles = sp.critical_path_cycles;
   table.shard_busy_cycles =
       std::accumulate(sp.cluster_busy_cycles.begin(),

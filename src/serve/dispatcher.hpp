@@ -12,9 +12,9 @@
 //                    amortizes across the chunk), worst latency (every
 //                    member waits for its whole chunk).
 //  - kShardedSingle: each image in turn is sharded across all clusters
-//                    as the ShardPlanner schedules it. Best latency (the
-//                    shard critical path), most total cycles (stitch/
-//                    reduce overhead and shard imbalance on every image).
+//                    as shard_plan() schedules it. Best latency (the
+//                    shard critical path), most total cycles (stitch
+//                    overhead and shard imbalance on every image).
 //  - kDataParallel:  whole images round-robin across clusters. Middle
 //                    ground: per-image latency of the single-cluster
 //                    pipeline, no fusion savings, but n images finish in

@@ -76,7 +76,7 @@ void PlanStore::attach_registry(std::shared_ptr<PlanRegistry> registry) {
 
 std::shared_ptr<PlanRegistry> PlanStore::attach_registry(
     const std::string& dir) {
-  auto registry = std::make_shared<PlanRegistry>(dir, latencies_);
+  auto registry = std::make_shared<PlanRegistry>(dir);
   attach_registry(registry);
   return registry;
 }

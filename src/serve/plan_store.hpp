@@ -5,7 +5,7 @@
 // The store owns the serving-side compile-once guarantee: each registered
 // model's parameters are fingerprinted once (add_model), every (batch,
 // num_clusters) variant is keyed by plan_fingerprint_from(graph_fp,
-// options) — the same sound identity the shard-plan cache uses — and all
+// options) — the identity the registry files artifacts under — and all
 // compiles share one TileLatencyCache, so a tile
 // geometry common to several variants is ISS-measured exactly once.
 // After warm() has covered the configs a Dispatcher can request,
@@ -88,16 +88,13 @@ class PlanStore {
   /// Attach a PlanRegistry as the read-through / write-through tier:
   /// plan() misses first try registry.load(fingerprint) (a hit skips the
   /// compiler AND the ISS entirely), and freshly compiled plans are
-  /// published back so the next process cold-starts warm. For serve-time
-  /// shard planning to stay ISS-free too, construct the registry with
-  /// this store's shared_latencies() — loaded plans are then costed
-  /// against the same cache the store's compiles feed.
+  /// published back so the next process cold-starts warm. A loaded plan
+  /// carries every cycle it reports, so serving it — shard planning
+  /// included — never touches the latency cache.
   void attach_registry(std::shared_ptr<PlanRegistry> registry);
 
-  /// Convenience: open (or create) `dir` as this store's registry tier,
-  /// sharing the store's latency cache — artifact latency sections merge
-  /// straight into it, which is what makes a warm-registry cold start
-  /// ISS-free end to end. Returns the registry.
+  /// Convenience: open (or create) `dir` as this store's registry tier.
+  /// Returns the registry.
   std::shared_ptr<PlanRegistry> attach_registry(const std::string& dir);
 
   std::shared_ptr<PlanRegistry> registry() const;

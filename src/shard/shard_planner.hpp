@@ -1,23 +1,21 @@
 #pragma once
-// ShardPlanner: partitions a CompiledPlan's per-step tile schedules across
-// `num_clusters` PULP-style clusters (the Snitch/SparCE scaling recipe —
-// replicate small clusters instead of growing one).
+// shard_plan: partitions a CompiledPlan's per-step tile schedules across
+// the plan's own `options.num_clusters` PULP-style clusters (the
+// Snitch/SparCE scaling recipe — replicate small clusters instead of
+// growing one).
 //
-// Sharding is a pure cost/placement transform: every tile keeps the cycle
-// cost the TileLatencyCache measured for it at compile time, and the
-// planner only decides which cluster runs which tiles. Three step shapes:
+// Sharding is a pure function of the plan: every tile keeps the cycle
+// cost the compiler recorded for it, and the planner only decides which
+// cluster runs which tiles. It reads plan data alone — no ISS, no
+// simulated memory — so a plan loaded from a `.plan` artifact shards
+// exactly like the plan that was published. Two step shapes:
 //
 //  - kGemmTiles / kRows: whole tiles are assigned to clusters with a
 //    cost-balanced greedy (largest tile first onto the least-loaded
 //    cluster). Each cluster pipelines its own slice; outputs of non-root
-//    clusters cross the interconnect back to the root L2 (stitch cost).
-//  - kFcC: a single-tile FC cannot feed several clusters, so the planner
-//    splits the *input-feature* (reduction) axis instead: each cluster
-//    computes int32 partial sums over a contiguous C range (costed by a
-//    fresh ISS measurement through the plan's own TileLatencyCache), and
-//    the root reduces the partials in ascending cluster order before the
-//    single requant — the unsharded accumulation, regrouped
-//    associatively, so the split would not change a single output bit.
+//    clusters cross the interconnect back to the root L2 (stitch cost,
+//    from DMA cost arithmetic). A step with fewer tiles than clusters —
+//    a single-tile FC included — leaves the other clusters idle.
 //  - kNone: serial / marshalling / whole-tensor steps run on the root.
 //
 // With num_clusters == 1 the plan degenerates to the unsharded schedule:
@@ -30,26 +28,18 @@
 // verify_shard (verify/verify.hpp) checks a schedule's slices statically.
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "exec/compile.hpp"
 #include "exec/plan.hpp"
-#include "sim/cluster.hpp"
-#include "sim/dma.hpp"
 
 namespace decimate {
 
 /// One cluster's share of one plan step.
 struct ShardSlice {
   std::vector<int> tiles;  // indices into step.tile_costs / tiles_meta
-  std::pair<int, int> c_range{0, 0};  // kFcC only: input-feature range
   uint64_t cycles = 0;     // pipelined slice total on this cluster
   int64_t out_bytes = 0;   // output bytes produced on this cluster
-  bool active() const {
-    return !tiles.empty() || c_range.second > c_range.first;
-  }
+  bool active() const { return !tiles.empty(); }
 };
 
 /// One plan step, sharded across the clusters.
@@ -58,7 +48,7 @@ struct StepShard {
   ShardAxis axis = ShardAxis::kNone;
   std::vector<ShardSlice> slices;  // one per cluster (root = cluster 0)
   uint64_t serial_cycles = 0;   // root-only extras (marshalling, transpose)
-  uint64_t reduce_cycles = 0;   // stitch DMA / partial-sum reduction
+  uint64_t reduce_cycles = 0;   // stitch DMA of non-root outputs
   uint64_t critical_cycles = 0; // max over slices + serial + reduce
   int active_clusters() const {
     int n = 0;
@@ -70,7 +60,7 @@ struct StepShard {
 /// The sharded schedule of a whole plan: per-step assignments plus the
 /// aggregate cycle view (per-cluster busy streams merged the same way
 /// BatchRun::batch_cycles merges per-image tile streams — each cluster
-/// pipelines its own slice, clusters sync at every stitch/reduce point).
+/// pipelines its own slice, clusters sync at every stitch point).
 /// Holds no pointer back to the CompiledPlan: slices address tiles by
 /// index, so the schedule applies to any plan with the same content (a
 /// plan loaded from a `.plan` artifact included).
@@ -78,7 +68,7 @@ struct ShardPlan {
   int num_clusters = 1;
   std::vector<StepShard> steps;  // parallel to plan->steps
   uint64_t critical_path_cycles = 0;  // Σ per-step critical paths
-  uint64_t reduction_cycles = 0;      // Σ stitch/reduce overhead (within ^)
+  uint64_t reduction_cycles = 0;      // Σ stitch overhead (within ^)
   std::vector<uint64_t> cluster_busy_cycles;  // Σ own-slice cycles
 
   double utilization(int cluster) const {
@@ -99,30 +89,10 @@ struct ShardPlan {
   }
 };
 
-class ShardPlanner {
- public:
-  explicit ShardPlanner(int num_clusters);
-
-  /// Shard `plan` across the planner's clusters. The plan must be
-  /// unfused (options.batch == 1) — a batch-fused tile stream interleaves
-  /// images, which sharding would tear apart. New kFcC tile shapes are
-  /// measured through plan.latencies, so repeated plans re-simulate
-  /// nothing.
-  ShardPlan plan(const CompiledPlan& plan);
-
-  int num_clusters() const { return num_clusters_; }
-
- private:
-  StepShard shard_tiles(const CompiledPlan& plan, const PlanStep& step);
-  StepShard shard_fc_c(const CompiledPlan& plan, const PlanStep& step,
-                       const Node& node);
-  bool wants_fc_c_split(const PlanStep& step, const Node& node) const;
-  Cluster& measure_cluster(const CompileOptions& opt);
-
-  int num_clusters_ = 1;
-  std::unique_ptr<Cluster> cluster_;  // kFcC measurement cluster
-  ClusterConfig cluster_cfg_;         // config cluster_ was built with
-  Rng rng_{0x5AADBEEF};
-};
+/// Shard `plan` across the clusters it was compiled for
+/// (plan.options.num_clusters, which must be >= 1). The plan must be
+/// unfused (options.batch == 1) — a batch-fused tile stream interleaves
+/// images, which sharding would tear apart.
+ShardPlan shard_plan(const CompiledPlan& plan);
 
 }  // namespace decimate

@@ -4,18 +4,18 @@
 
 namespace decimate {
 
-uint64_t DmaModel::cost_1d(uint64_t bytes, MemRegion a, MemRegion b) const {
+uint64_t DmaConfig::cost_1d(uint64_t bytes, MemRegion a, MemRegion b) const {
   if (bytes == 0) return 0;
-  if (slow_path(a, b)) {
-    return cfg_.l3_startup_cycles +
+  if (a == MemRegion::kL3 || b == MemRegion::kL3) {
+    return l3_startup_cycles +
            static_cast<uint64_t>(
                ceil_div(static_cast<int64_t>(bytes),
-                        static_cast<int64_t>(cfg_.l3_bytes_per_cycle)));
+                        static_cast<int64_t>(l3_bytes_per_cycle)));
   }
-  return cfg_.l2_startup_cycles +
+  return l2_startup_cycles +
          static_cast<uint64_t>(
              ceil_div(static_cast<int64_t>(bytes),
-                      static_cast<int64_t>(cfg_.l2_bytes_per_cycle)));
+                      static_cast<int64_t>(l2_bytes_per_cycle)));
 }
 
 uint64_t DmaModel::cost_2d(uint64_t rows, uint64_t row_bytes, MemRegion a,

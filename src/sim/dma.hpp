@@ -18,6 +18,10 @@ struct DmaConfig {
   double l3_bytes_per_cycle = 1.0;
   // Extra cost per row of a 2D (strided) transfer
   uint32_t per_row_cycles = 2;
+
+  /// Cycle cost of a 1D transfer of `bytes` between two regions: pure
+  /// arithmetic, usable without a simulated memory.
+  uint64_t cost_1d(uint64_t bytes, MemRegion a, MemRegion b) const;
 };
 
 class DmaModel {
@@ -28,7 +32,9 @@ class DmaModel {
   const DmaConfig& config() const { return cfg_; }
 
   /// Cost of a 1D transfer of `bytes` between two regions (no data moved).
-  uint64_t cost_1d(uint64_t bytes, MemRegion a, MemRegion b) const;
+  uint64_t cost_1d(uint64_t bytes, MemRegion a, MemRegion b) const {
+    return cfg_.cost_1d(bytes, a, b);
+  }
 
   /// Cost of a 2D transfer (rows x row_bytes) between two regions.
   uint64_t cost_2d(uint64_t rows, uint64_t row_bytes, MemRegion a,
@@ -46,10 +52,6 @@ class DmaModel {
   uint64_t fill(uint32_t dst, uint32_t bytes, uint8_t value);
 
  private:
-  bool slow_path(MemRegion a, MemRegion b) const {
-    return a == MemRegion::kL3 || b == MemRegion::kL3;
-  }
-
   SocMemory* mem_;
   DmaConfig cfg_;
 };

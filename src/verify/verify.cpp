@@ -788,59 +788,39 @@ VerifyReport verify_shard(const CompiledPlan& plan, const ShardPlan& shard) {
       continue;
     }
 
-    if (ss.axis == ShardAxis::kFcC) {
-      require(step.op == OpType::kFc && step.tile_costs.size() == 1 &&
-                  step.shard_axis == ShardAxis::kGemmTiles,
-              "shard.axis", step.node_id,
-              "kFcC split is only legal for a single-tile FC step");
-      const int c_total = plan.graph->node(step.node_id).fc.c;
-      int expect_c = 0;
-      bool contiguous = true;
-      for (const ShardSlice& s : ss.slices) {
-        if (!s.active()) continue;
-        if (s.c_range.first != expect_c || s.c_range.second <= s.c_range.first)
-          contiguous = false;
-        expect_c = s.c_range.second;
-        if (!s.tiles.empty()) contiguous = false;  // either axis, not both
-      }
-      require(contiguous && expect_c == c_total, "shard.crange", step.node_id,
-              "kFcC feature ranges do not tile [0, " + str(c_total) +
-                  ") contiguously");
-    } else {
-      require(ss.axis == step.shard_axis, "shard.axis", step.node_id,
-              "shard axis does not match the plan step");
-      // every tile index assigned exactly once across the slices
-      std::vector<int> seen(step.tile_costs.size(), 0);
-      bool in_range = true;
-      int64_t out_bytes_ok = 0;
-      for (const ShardSlice& s : ss.slices) {
-        int64_t slice_bytes = 0;
-        for (int idx : s.tiles) {
-          if (idx < 0 || idx >= static_cast<int>(seen.size())) {
-            in_range = false;
-            continue;
-          }
-          ++seen[static_cast<size_t>(idx)];
-          slice_bytes += step.tiles_meta[static_cast<size_t>(idx)].out_bytes;
+    require(ss.axis == step.shard_axis, "shard.axis", step.node_id,
+            "shard axis does not match the plan step");
+    // every tile index assigned exactly once across the slices
+    std::vector<int> seen(step.tile_costs.size(), 0);
+    bool in_range = true;
+    int64_t out_bytes_ok = 0;
+    for (const ShardSlice& s : ss.slices) {
+      int64_t slice_bytes = 0;
+      for (int idx : s.tiles) {
+        if (idx < 0 || idx >= static_cast<int>(seen.size())) {
+          in_range = false;
+          continue;
         }
-        out_bytes_ok += (slice_bytes == s.out_bytes) ? 0 : 1;
+        ++seen[static_cast<size_t>(idx)];
+        slice_bytes += step.tiles_meta[static_cast<size_t>(idx)].out_bytes;
       }
-      require(in_range, "shard.tiles", step.node_id,
-              "slice references a tile index outside the step's schedule");
-      if (in_range) {
-        int dup = -1, missing = -1;
-        for (size_t t = 0; t < seen.size(); ++t) {
-          if (seen[t] > 1 && dup < 0) dup = static_cast<int>(t);
-          if (seen[t] == 0 && missing < 0) missing = static_cast<int>(t);
-        }
-        require(dup < 0, "shard.tiles", step.node_id,
-                "tile " + str(dup) + " assigned to more than one cluster");
-        require(missing < 0, "shard.tiles", step.node_id,
-                "tile " + str(missing) + " assigned to no cluster");
-      }
-      require(out_bytes_ok == 0, "shard.out_bytes", step.node_id,
-              "slice out_bytes does not match the sum of its tiles");
+      out_bytes_ok += (slice_bytes == s.out_bytes) ? 0 : 1;
     }
+    require(in_range, "shard.tiles", step.node_id,
+            "slice references a tile index outside the step's schedule");
+    if (in_range) {
+      int dup = -1, missing = -1;
+      for (size_t t = 0; t < seen.size(); ++t) {
+        if (seen[t] > 1 && dup < 0) dup = static_cast<int>(t);
+        if (seen[t] == 0 && missing < 0) missing = static_cast<int>(t);
+      }
+      require(dup < 0, "shard.tiles", step.node_id,
+              "tile " + str(dup) + " assigned to more than one cluster");
+      require(missing < 0, "shard.tiles", step.node_id,
+              "tile " + str(missing) + " assigned to no cluster");
+    }
+    require(out_bytes_ok == 0, "shard.out_bytes", step.node_id,
+            "slice out_bytes does not match the sum of its tiles");
     uint64_t longest = 0;
     for (const ShardSlice& s : ss.slices) {
       longest = std::max(longest, s.cycles);

@@ -80,9 +80,8 @@ class VerifyError : public Error {
 VerifyReport verify_plan(const CompiledPlan& plan);
 
 /// Check a ShardPlan against the plan it partitions: slices per step are
-/// disjoint and complete (tile indices assigned exactly once; kFcC
-/// feature ranges tile [0, C) contiguously), and the cycle bookkeeping
-/// re-derives from the slices.
+/// disjoint and complete (tile indices assigned exactly once), and the
+/// cycle bookkeeping re-derives from the slices.
 VerifyReport verify_shard(const CompiledPlan& plan, const ShardPlan& shard);
 
 }  // namespace decimate

@@ -1,11 +1,13 @@
 // Plan-artifact registry tests: serde primitives, serialize -> load
 // round-trips that must be bit-exact across every execution path
 // (ExecutionEngine::run, pipelined run_batch) and reproduce the shard
-// schedule without the ISS, the admission gate (truncation, bit flips,
-// version skew, forged fingerprints, out-of-range gather columns, edited
-// counts), concurrent loads, graph ownership of loaded plans, and the
-// PlanStore registry tier's zero-compile / zero-ISS cold start and its
-// fallback on a bad artifact.
+// schedule, artifact bytes that depend only on graph and options, the
+// admission gate (truncation, bit flips, version skew, forged
+// fingerprints, out-of-range gather columns, edited counts), concurrent
+// loads, graph ownership of loaded plans, and the PlanStore registry
+// tier's zero-compile / zero-ISS cold start, its fallback on a bad or
+// misfiled artifact, and the absence of any state a rejected artifact
+// could leave behind.
 
 #include <gtest/gtest.h>
 
@@ -196,34 +198,38 @@ TEST(PlanArtifact, FfnBatchRunRoundTripsBitExact) {
   }
 }
 
-TEST(PlanArtifact, ShardPlanRoundTripsIssFree) {
+TEST(PlanArtifact, ShardPlanRoundTrips) {
   const Graph g = small_ffn();
   CompileOptions opt = isa_options();
   opt.num_clusters = 2;
-  CompiledPlan plan = compile_plan(g, opt);
+  const CompiledPlan plan = compile_plan(g, opt);
+  const CompiledPlan loaded = round_trip(plan);
 
-  // shard-plan BEFORE serializing so the kFcC measurements (if the
-  // planner takes that path) land in the latency section too
-  const ShardPlan fresh = ShardPlanner(2).plan(plan);
-
-  const auto bytes = artifact::serialize_plan(plan);
-  auto cold_cache = std::make_shared<TileLatencyCache>();
-  const CompiledPlan loaded =
-      artifact::load_plan_from_bytes(bytes, "shard-test", cold_cache);
-
-  const ShardPlan reloaded = ShardPlanner(2).plan(loaded);
+  const ShardPlan fresh = shard_plan(plan);
+  const ShardPlan reloaded = shard_plan(loaded);
+  EXPECT_EQ(reloaded.num_clusters, 2);
   EXPECT_EQ(reloaded.critical_path_cycles, fresh.critical_path_cycles);
   EXPECT_EQ(reloaded.reduction_cycles, fresh.reduction_cycles);
   EXPECT_EQ(reloaded.cluster_busy_cycles, fresh.cluster_busy_cycles);
-  // zero ISS in the consumer: every tile the shard planner needed was
-  // embedded in the artifact's latency section (misses == simulations)
-  EXPECT_EQ(cold_cache->misses(), 0u);
 
   const Tensor8 input = random_input(g, 7);
   ExecutionEngine engine;
   const NetworkRun ran = engine.run(loaded, input);
   EXPECT_EQ(ran.output, engine.run(plan, input).output);
   EXPECT_EQ(ran.total_cycles, plan.total_cycles);
+}
+
+TEST(PlanArtifact, BytesDependOnlyOnGraphAndOptions) {
+  // the same FFN 1:8 plan from a fresh compiler and from one that
+  // compiled ResNet18 first: what else a process compiled must not
+  // reach a plan's bytes
+  const Graph ffn = small_ffn();
+  const Graph resnet = scaled_resnet18(16);
+  Compiler fresh(isa_options());
+  Compiler seasoned(isa_options(), shared_test_cache());
+  seasoned.compile(resnet);
+  EXPECT_EQ(artifact::serialize_plan(fresh.compile(ffn)),
+            artifact::serialize_plan(seasoned.compile(ffn)));
 }
 
 TEST(PlanArtifact, LoadedPlanOwnsItsGraph) {
@@ -281,7 +287,7 @@ struct Corruptible {
       : bytes(artifact::serialize_plan(plan)) {}
 
   // Section ids, in the order of the header's section table.
-  static constexpr size_t kPlanSection = 1, kWeightSection = 3;
+  static constexpr size_t kPlanSection = 1, kWeightSection = 2;
 
   /// Byte offset of section `id`'s table entry: after magic, version,
   /// both fingerprints and the count, entries of id, offset, size, crc.
@@ -322,9 +328,25 @@ struct Corruptible {
   /// checks can then catch the edit.
   void reseal(size_t id) {
     put_u32(entry(id) + 17, serde::crc32(section(id)));
+    reseal_header();
+  }
+  void reseal_header() {
     put_u32(artifact::kHeaderBytes - 4,
             serde::crc32(std::span<const uint8_t>(bytes).first(
                 artifact::kHeaderBytes - 4)));
+  }
+
+  /// Forge the header's plan fingerprint (offset 8, after magic and
+  /// version) and re-seal the header CRC.
+  void forge_plan_fingerprint() {
+    bytes[8] ^= 0xff;
+    reseal_header();
+  }
+
+  void write_to(const std::string& path) const {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
   }
 };
 
@@ -376,16 +398,9 @@ TEST(PlanArtifact, RejectsVersionSkew) {
 TEST(PlanArtifact, RejectsForgedFingerprint) {
   const Graph g = small_ffn();
   Corruptible a(compile_plan(g, isa_options()));
-  // forge the header's plan fingerprint (offset 8, after magic+version)
-  // and re-seal the header CRC so only the artifact.fingerprint
-  // re-derivation can catch the lie
-  a.bytes[8] ^= 0xff;
-  const uint32_t crc = serde::crc32(
-      std::span<const uint8_t>(a.bytes).first(artifact::kHeaderBytes - 4));
-  for (size_t i = 0; i < 4; ++i) {
-    a.bytes[artifact::kHeaderBytes - 4 + i] =
-        static_cast<uint8_t>(crc >> (8 * i));
-  }
+  // re-sealed, so only the artifact.fingerprint re-derivation can catch
+  // the lie
+  a.forge_plan_fingerprint();
   EXPECT_TRUE(artifact::verify_artifact(a.bytes, "forged").ok());
   try {
     artifact::load_plan_from_bytes(a.bytes, "forged");
@@ -432,9 +447,7 @@ TEST(PlanArtifact, RejectsOutOfRangeGatherColumn) {
     fs::create_directories(dir.path);
     const std::string path = dir.path + "/plan.plan";
     Corruptible a(plan);
-    std::ofstream(path, std::ios::binary)
-        .write(reinterpret_cast<const char*>(a.bytes.data()),
-               static_cast<std::streamsize>(a.bytes.size()));
+    a.write_to(path);
     const auto file = MappedFile::open(path);
     ASSERT_NE(file, nullptr);
     size_t col_at = 0;
@@ -462,8 +475,7 @@ TEST(PlanArtifact, RejectsOutOfRangeGatherColumn) {
 /// the plan section's step count, or the first tiled step's tile_costs
 /// count. Either would size an allocation far beyond the artifact (tens
 /// of GB and more) if the loader trusted it.
-std::vector<uint8_t> with_huge_count(const CompiledPlan& plan,
-                                     bool step_count) {
+Corruptible with_huge_count(const CompiledPlan& plan, bool step_count) {
   Corruptible a(plan);
   // the step count (u32) follows total_cycles; a step's tile_costs count
   // (u64) precedes its first tile's compute, dma_in and dma_out
@@ -478,7 +490,7 @@ std::vector<uint8_t> with_huge_count(const CompiledPlan& plan,
                      [](const PlanStep& s) { return !s.tile_costs.empty(); });
     if (tiled == plan.steps.end()) {
       ADD_FAILURE() << "plan has no tiled step";
-      return a.bytes;
+      return a;
     }
     const TileCost& first = tiled->tile_costs.front();
     pattern = le(tiled->tile_costs.size(), 8);
@@ -491,12 +503,12 @@ std::vector<uint8_t> with_huge_count(const CompiledPlan& plan,
   const size_t at = a.find(Corruptible::kPlanSection, pattern);
   if (at == 0) {
     ADD_FAILURE() << "count field not found";
-    return a.bytes;
+    return a;
   }
   for (size_t i = 0; i < 4; ++i) a.bytes[at + skip + i] = 0xff;
   a.reseal(Corruptible::kPlanSection);
   EXPECT_TRUE(artifact::verify_artifact(a.bytes, "huge-count").ok());
-  return a.bytes;
+  return a;
 }
 
 Graph ffn_1_4() { return build_ffn_block(16, 64, 128, 4, 7); }
@@ -506,7 +518,7 @@ TEST(PlanArtifact, RejectsEditedCountsBeforeAllocating) {
   const CompiledPlan plan = compile_plan(g, isa_options());
   for (const bool step_count : {true, false}) {
     EXPECT_THROW(artifact::load_plan_from_bytes(
-                     with_huge_count(plan, step_count), "huge-count"),
+                     with_huge_count(plan, step_count).bytes, "huge-count"),
                  Error)
         << (step_count ? "step count" : "tile_costs count");
   }
@@ -685,11 +697,7 @@ TEST(PlanStoreRegistry, EditedCountIsARegistryFaultAndRecompiles) {
   const Graph g = ffn_1_4();
   const CompiledPlan plan = compile_plan(g, isa_options());
   TempDir dir;
-  const std::string path = PlanRegistry(dir.path).publish(plan);
-  const std::vector<uint8_t> bad = with_huge_count(plan, true);
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      .write(reinterpret_cast<const char*>(bad.data()),
-             static_cast<std::streamsize>(bad.size()));
+  with_huge_count(plan, true).write_to(PlanRegistry(dir.path).publish(plan));
 
   PlanStore store(isa_options(), shared_test_cache());
   store.attach_registry(dir.path);
@@ -700,6 +708,112 @@ TEST(PlanStoreRegistry, EditedCountIsARegistryFaultAndRecompiles) {
   const Tensor8 input = random_input(g, 41);
   EXPECT_EQ(ExecutionEngine().run(served, input).output,
             ExecutionEngine().run(plan, input).output);
+}
+
+TEST(PlanStoreRegistry, ArtifactFiledUnderAnotherIdentityIsRefused) {
+  // the dense plan's artifact copied over the 1:8 plan's file passes
+  // every check on its own bytes; only the identity it is filed under
+  // can tell that it is not the plan requested
+  const Graph dense = build_ffn_block(16, 64, 128, 0, 7);
+  const Graph sparse = build_ffn_block(16, 64, 128, 8, 7);
+  TempDir dir;
+  {
+    PlanStore store(isa_options(), shared_test_cache());
+    store.attach_registry(dir.path);
+    store.plan(store.add_model(dense), 1);
+    store.plan(store.add_model(sparse), 1);
+  }
+  PlanRegistry registry(dir.path);
+  const uint64_t sparse_fp = plan_fingerprint(sparse, isa_options());
+  fs::copy_file(registry.path_for(plan_fingerprint(dense, isa_options())),
+                registry.path_for(sparse_fp),
+                fs::copy_options::overwrite_existing);
+
+  auto& rejects = metrics::registry().counter("artifact.verify_rejects");
+  const uint64_t before = rejects.value();
+  try {
+    registry.load(sparse_fp);
+    FAIL() << "a misfiled artifact was admitted";
+  } catch (const VerifyError& e) {
+    EXPECT_TRUE(e.report().has("artifact.fingerprint"))
+        << e.report().to_string();
+  }
+  EXPECT_EQ(rejects.value(), before + 1);
+
+  PlanStore store(isa_options(), shared_test_cache());
+  store.attach_registry(dir.path);
+  const CompiledPlan& served = store.plan(store.add_model(sparse), 1);
+  EXPECT_EQ(store.registry_faults(), 1);
+  EXPECT_EQ(store.registry_loads(), 0);
+  EXPECT_EQ(store.compiles(), 1);
+  const Tensor8 input = random_input(sparse, 43);
+  const CompiledPlan fresh = compile_plan(sparse, isa_options());
+  EXPECT_EQ(ExecutionEngine().run(served, input).output,
+            ExecutionEngine().run(fresh, input).output);
+}
+
+TEST(PlanStoreRegistry, RejectedArtifactLeavesNoStateBehind) {
+  // the FFN 1:4 plan, published by a compiler that compiled another
+  // graph first, with a forged (re-sealed) header identity: refusing it
+  // must leave the store's cache exactly as a clean compile finds it
+  const Graph other = small_ffn();
+  const Graph g = ffn_1_4();
+  Compiler seasoned(isa_options());
+  seasoned.compile(other);
+  const CompiledPlan plan = seasoned.compile(g);
+  TempDir dir;
+  Corruptible forged(plan);
+  forged.forge_plan_fingerprint();
+  forged.write_to(PlanRegistry(dir.path).publish(plan));
+
+  auto cache = std::make_shared<TileLatencyCache>();
+  PlanStore store(isa_options(), cache);
+  store.attach_registry(dir.path);
+  const CompiledPlan& served = store.plan(store.add_model(g), 1);
+  EXPECT_EQ(store.registry_faults(), 1);
+  EXPECT_EQ(store.compiles(), 1);
+
+  Compiler clean(isa_options());
+  const CompiledPlan reference = clean.compile(g);
+  EXPECT_EQ(cache->size(), clean.latencies().size());
+  EXPECT_EQ(cache->misses(), clean.latencies().misses());
+  EXPECT_EQ(served.total_cycles, reference.total_cycles);
+}
+
+TEST(PlanStoreRegistry, LoadedPlansReserializeToTheirArtifactBytes) {
+  // the registry is content-addressed: once a store has loaded every
+  // plan of two models, each must still re-serialize to the exact bytes
+  // of the file it was loaded from
+  const std::vector<Graph> graphs = {scaled_resnet18(16), small_ffn()};
+  TempDir dir;
+  {
+    PlanStore store(isa_options(), shared_test_cache());
+    store.attach_registry(dir.path);
+    for (const Graph& g : graphs) {
+      const int model = store.add_model(g);
+      store.plan(model, 1);
+      store.plan(model, 1, 2);
+    }
+  }
+  PlanStore store(isa_options());
+  const auto registry = store.attach_registry(dir.path);
+  std::vector<std::pair<const Graph*, const CompiledPlan*>> loaded;
+  for (const Graph& g : graphs) {
+    const int model = store.add_model(g);
+    for (const int clusters : {1, 2}) {
+      loaded.emplace_back(&g, &store.plan(model, 1, clusters));
+    }
+  }
+  EXPECT_EQ(store.registry_loads(), 4);
+  EXPECT_EQ(store.compiles(), 0);
+  for (const auto& [g, plan] : loaded) {
+    std::vector<uint8_t> on_disk;
+    ASSERT_TRUE(serde::read_file(
+        registry->path_for(plan_fingerprint(*g, plan->options)), on_disk));
+    EXPECT_TRUE(artifact::serialize_plan(*plan) == on_disk)
+        << plan->options.num_clusters << "-cluster plan of a "
+        << g->size() << "-node graph";
+  }
 }
 
 TEST(PlanStoreRegistry, LoadedPlansDoNotReferenceTheStoreGraph) {

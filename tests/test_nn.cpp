@@ -18,6 +18,10 @@ TEST(Tensor, ShapeAndIndexing) {
   EXPECT_THROW(t.at({2, 0, 0}), Error);
   EXPECT_THROW(t.at({0, 0}), Error);
   EXPECT_THROW(Tensor8({0, 3}), Error);
+  // 2^31 elements is one too many; 2^64 must throw before int64_t
+  // arithmetic could wrap
+  EXPECT_THROW(Tensor8({1 << 16, 1 << 15}), Error);
+  EXPECT_THROW(Tensor8({1 << 21, 1 << 21, 1 << 21, 2}), Error);
 }
 
 TEST(Quant, RequantMatchesKernelSequence) {

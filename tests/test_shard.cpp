@@ -1,8 +1,8 @@
-// Multi-cluster sharding tests: the ShardPlanner schedule (a modeled
+// Multi-cluster sharding tests: the shard_plan() schedule (a modeled
 // placement; the host runs every plan whole on ExecutionEngine) — the
 // single-cluster degeneration invariant (critical path == plan total),
-// critical paths that shrink with clusters, the kFcC reduction split,
-// degenerate layers with fewer tiles than clusters, shard-count-salted
+// critical paths that shrink with clusters, degenerate layers with fewer
+// tiles than clusters (a single-tile FC included), shard-count-salted
 // fingerprints and the batch-fused rejection, with every schedule passing
 // verify_shard — and shard-aware compiles that change tiles, not
 // numerics, on ResNet18/ViT for 1/2/4 clusters.
@@ -83,9 +83,9 @@ Graph tiny_conv(uint64_t seed) {
   return g;
 }
 
-/// Shard `plan` across `n` clusters; the schedule must verify clean.
-ShardPlan shard(const CompiledPlan& plan, int n) {
-  ShardPlan sp = ShardPlanner(n).plan(plan);
+/// Shard `plan` across its clusters; the schedule must verify clean.
+ShardPlan shard(const CompiledPlan& plan) {
+  ShardPlan sp = shard_plan(plan);
   const VerifyReport report = verify_shard(plan, sp);
   EXPECT_TRUE(report.clean()) << report.to_string();
   return sp;
@@ -109,7 +109,7 @@ void expect_shard_aware_plans_bit_exact(const Graph& graph,
     const CompiledPlan plan = compiler.compile(graph);
     EXPECT_TRUE(engine.run(plan, input).output == baseline.output)
         << "the " << n << "-cluster plan's output differs";
-    EXPECT_EQ(shard(plan, n).num_clusters, n);
+    EXPECT_EQ(shard(plan).num_clusters, n);
   }
 }
 
@@ -129,7 +129,7 @@ TEST(Shard, OneClusterDegeneratesToTheUnshardedSchedule) {
   const Graph g = scaled_resnet18();
   Compiler compiler(isa_options());
   const CompiledPlan plan = compiler.compile(g);
-  const ShardPlan sp = shard(plan, 1);
+  const ShardPlan sp = shard(plan);
   EXPECT_EQ(sp.critical_path_cycles, plan.total_cycles)
       << "a 1-cluster shard plan must reproduce the plan total exactly";
   EXPECT_EQ(sp.reduction_cycles, 0u);
@@ -145,7 +145,7 @@ TEST(Shard, CriticalPathShrinksWithClustersAndUtilizationIsSane) {
   for (int n : {2, 4}) {
     Compiler compiler(isa_options(n), one.shared_latencies());
     const CompiledPlan plan = compiler.compile(g);
-    const ShardPlan sp = shard(plan, n);
+    const ShardPlan sp = shard(plan);
     EXPECT_LT(sp.critical_path_cycles, prev)
         << "more clusters must shorten the critical path";
     prev = sp.critical_path_cycles;
@@ -163,29 +163,8 @@ TEST(Shard, CriticalPathShrinksWithClustersAndUtilizationIsSane) {
   Compiler two(isa_options(2), one.shared_latencies());
   const CompiledPlan p2 = two.compile(g);
   EXPECT_GE(static_cast<double>(p1.total_cycles) /
-                static_cast<double>(shard(p2, 2).critical_path_cycles),
+                static_cast<double>(shard(p2).critical_path_cycles),
             1.7);
-}
-
-// --- the kFcC partial-sum reduction split -----------------------------------
-
-TEST(Shard, SingleTileFcSplitsTheReductionAxis) {
-  // k = 4 output channels over c = 512 features compiles to one tile on
-  // one cluster; sharding it across 4 clusters must switch to the
-  // input-feature split and reduce int32 partials before requant.
-  for (int m : {0, 8}) {
-    const Graph g = single_fc(3, 512, 4, m, 44 + m);
-    Compiler compiler(isa_options());  // single-cluster plan: one tile
-    const CompiledPlan plan = compiler.compile(g);
-    ASSERT_EQ(plan.steps[0].tile_costs.size(), 1u);
-
-    const ShardPlan sp = shard(plan, 4);
-    EXPECT_EQ(sp.steps[0].axis, ShardAxis::kFcC);
-    EXPECT_EQ(sp.steps[0].active_clusters(), 4);
-    EXPECT_GT(sp.steps[0].reduce_cycles, 0u);
-    EXPECT_LT(sp.critical_path_cycles, plan.total_cycles)
-        << "splitting the reduction axis must beat one cluster";
-  }
 }
 
 // --- degenerate layers ------------------------------------------------------
@@ -197,13 +176,28 @@ TEST(Shard, LayerWithFewerTilesThanClustersLeavesClustersIdle) {
   ASSERT_LT(plan.steps[0].tile_costs.size(), 8u)
       << "the degenerate conv must not be able to fill 8 clusters";
 
-  const ShardPlan sp = shard(plan, 8);
+  const ShardPlan sp = shard(plan);
   EXPECT_LT(sp.steps[0].active_clusters(), 8);
   EXPECT_GE(sp.steps[0].active_clusters(), 1);
   // idle clusters report zero utilization, active ones a positive one
   int idle = 0;
   for (int c = 0; c < 8; ++c) idle += sp.utilization(c) == 0.0 ? 1 : 0;
   EXPECT_GT(idle, 0);
+
+  // One token into k = 2 outputs compiles to a single tile even for 4
+  // clusters: it runs whole on the root while the others idle.
+  for (int m : {0, 8}) {
+    const Graph fc = single_fc(1, 512, 2, m, 44 + m);
+    const CompiledPlan fc_plan = Compiler(isa_options(4)).compile(fc);
+    ASSERT_EQ(fc_plan.steps[0].tile_costs.size(), 1u) << "m=" << m;
+    const ShardPlan fc_sp = shard(fc_plan);
+    EXPECT_EQ(fc_sp.steps[0].active_clusters(), 1) << "m=" << m;
+    EXPECT_TRUE(fc_sp.steps[0].slices[0].active()) << "m=" << m;
+    EXPECT_EQ(fc_sp.steps[0].critical_cycles,
+              fc_plan.steps[0].report.total_cycles)
+        << "m=" << m;
+    EXPECT_EQ(fc_sp.critical_path_cycles, fc_plan.total_cycles) << "m=" << m;
+  }
 }
 
 // --- fingerprints and rejection ---------------------------------------------
@@ -230,7 +224,7 @@ TEST(Shard, BatchFusedPlansAreRejected) {
   opt.batch = 4;
   Compiler compiler(opt);
   const CompiledPlan plan = compiler.compile(g);
-  EXPECT_THROW(ShardPlanner(2).plan(plan), Error);
+  EXPECT_THROW(shard_plan(plan), Error);
 }
 
 }  // namespace

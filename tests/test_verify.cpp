@@ -417,8 +417,7 @@ class VerifyShard : public ::testing::Test {
     CompileOptions opt = options(true);
     opt.num_clusters = 2;
     plan_ = compile(graph_, opt);
-    ShardPlanner planner(2);
-    shard_ = planner.plan(plan_);
+    shard_ = shard_plan(plan_);
     ASSERT_TRUE(verify_shard(plan_, shard_).clean());
     step_ = -1;
     for (size_t i = 0; i < shard_.steps.size(); ++i) {
@@ -466,26 +465,12 @@ TEST_F(VerifyShard, WrongCriticalPathIsCaught) {
   EXPECT_TRUE(rep.has("shard.total")) << rep.to_string();
 }
 
-TEST(VerifyShardFcC, ReductionRangesMustTileTheFeatureAxis) {
-  // single-tile FC: the planner splits the input-feature axis instead
-  const Graph g = single_fc({.tokens = 3, .c = 512, .k = 4}, 8, 44);
-  const CompiledPlan plan = compile(g, options(true));
-  ASSERT_EQ(plan.steps[0].tile_costs.size(), 1u);
-  ShardPlanner planner(4);
-  ShardPlan shard = planner.plan(plan);
-  ASSERT_EQ(shard.steps[0].axis, ShardAxis::kFcC);
-  ASSERT_TRUE(verify_shard(plan, shard).clean());
-  shard.steps[0].slices[1].c_range.first += 4;  // gap in [0, C)
-  const VerifyReport rep = verify_shard(plan, shard);
-  EXPECT_TRUE(rep.has("shard.crange")) << rep.to_string();
-}
-
 TEST(VerifyShardFcC, BatchedPlansAreRejected) {
   const Graph g = single_fc({.tokens = 3, .c = 512, .k = 4}, 8, 44);
   CompileOptions opt = options(true);
+  opt.num_clusters = 2;
   const CompiledPlan plan = compile(g, opt);
-  ShardPlanner planner(2);
-  const ShardPlan shard = planner.plan(plan);
+  const ShardPlan shard = shard_plan(plan);
   opt.batch = 2;
   const CompiledPlan batched = compile(g, opt);
   EXPECT_TRUE(verify_shard(batched, shard).has("shard.batch"));
