@@ -5,8 +5,8 @@
 
 #include "common/serde.hpp"
 #include "compiler/fingerprint.hpp"
+#include "exec/node_exec.hpp"
 #include "exec/tile_runner.hpp"
-#include "nn/host_kernels.hpp"
 
 namespace decimate::artifact {
 
@@ -182,6 +182,17 @@ std::vector<T> read_byte_vec(serde::Reader& r) {
   return v;
 }
 
+/// An enum field stored as one byte: a value past `last`, the enum's last
+/// enumerator, names no state the program has and is refused.
+template <typename E>
+E read_enum(serde::Reader& r, E last, const char* field) {
+  const uint8_t v = r.u8();
+  DECIMATE_CHECK(v <= static_cast<uint8_t>(last),
+                 r.what() << ": " << field << " " << static_cast<int>(v)
+                          << " is not a valid value");
+  return static_cast<E>(v);
+}
+
 // ---------------------------------------------------------------------------
 // Graph section
 // ---------------------------------------------------------------------------
@@ -233,7 +244,7 @@ void write_node(serde::Writer& w, BlobWriter& blob, const Node& n) {
 Node read_node(serde::Reader& r, const BlobReader& blob) {
   Node n;
   n.id = r.i32();
-  n.op = static_cast<OpType>(r.u8());
+  n.op = read_enum(r, OpType::kConcat, "node op");
   n.name = r.str();
   n.inputs.resize(r.count<uint32_t>(sizeof(int32_t)));
   for (auto& i : n.inputs) i = r.i32();
@@ -429,13 +440,6 @@ void write_step(serde::Writer& w, BlobWriter& blob, const PlanStep& s) {
     write_ref(w, blob, p.offsets);
   }
   w.u8(static_cast<uint8_t>(s.weight_region));
-  // host dispatch: arrays by weight-section reference; the instance index
-  // is host-specific and re-selected at load
-  w.u8(static_cast<uint8_t>(s.host.impl));
-  w.i32(s.host.m);
-  write_ref(w, blob, s.host.row_start);
-  write_ref(w, blob, s.host.col);
-  write_ref(w, blob, s.host.val);
   w.u64(s.tile_costs.size());
   for (const TileCost& tc : s.tile_costs) {
     w.u64(tc.compute);
@@ -479,12 +483,11 @@ size_t min_step_bytes() {
   return bytes;
 }
 
-PlanStep read_step(serde::Reader& r, const BlobReader& blob,
-                   const Graph& graph) {
+PlanStep read_step(serde::Reader& r, const BlobReader& blob) {
   PlanStep s;
   s.node_id = r.i32();
-  s.op = static_cast<OpType>(r.u8());
-  s.choice.kind = static_cast<KernelKind>(r.u8());
+  s.op = read_enum(r, OpType::kConcat, "step op");
+  s.choice.kind = read_enum(r, KernelKind::kFcSparseIsa, "choice.kind");
   s.choice.m = r.i32();
   s.conv_tiles = read_conv_tiles(r);
   s.fc_tiles = read_fc_tiles(r);
@@ -496,18 +499,13 @@ PlanStep read_step(serde::Reader& r, const BlobReader& blob,
     p.cols = r.i32();
     p.nz_per_row = r.i32();
     p.nz_padded = r.i32();
-    p.layout = static_cast<NmLayout>(r.u8());
+    p.layout = read_enum(r, NmLayout::kFcIsaInterleaved, "packed.layout");
     p.values_row_bytes = r.i32();
     p.offsets_row_bytes = r.i32();
     p.values = blob.read_ref<int8_t>(r);
     p.offsets = blob.read_ref<uint8_t>(r);
   }
-  s.weight_region = static_cast<MemRegion>(r.u8());
-  s.host.impl = static_cast<HostImpl>(r.u8());
-  s.host.m = r.i32();
-  s.host.row_start = blob.read_ref<int32_t>(r);
-  s.host.col = blob.read_ref<uint16_t>(r);
-  s.host.val = blob.read_ref<int8_t>(r);
+  s.weight_region = read_enum(r, MemRegion::kL3, "step weight_region");
   s.tile_costs.resize(r.count<uint64_t>(kTileCostBytes));
   for (TileCost& tc : s.tile_costs) {
     tc.compute = r.u64();
@@ -517,7 +515,7 @@ PlanStep read_step(serde::Reader& r, const BlobReader& blob,
   s.pipelined = r.boolean();
   s.serial_cycles = r.u64();
   s.batch_fused = r.boolean();
-  s.shard_axis = static_cast<ShardAxis>(r.u8());
+  s.shard_axis = read_enum(r, ShardAxis::kRows, "shard_axis");
   s.tiles_meta.resize(r.count<uint64_t>(kShardTileBytes));
   for (ShardTile& t : s.tiles_meta) {
     t.a_s = r.i32();
@@ -532,21 +530,10 @@ PlanStep read_step(serde::Reader& r, const BlobReader& blob,
   }
   s.report = read_report(r);
 
-  // Rehydrate the two host-process bindings that are never serialized:
-  // the (kind, M) kernel program (a static singleton) and the host
-  // kernel-instance index (a position in THIS host's instance registry).
+  // the (kind, M) kernel program is a static singleton, never serialized;
+  // verify_plan's prog.* checks read it
   if (is_gemm(s.op)) {
     s.program = &TileRunner::program_for(s.choice.kind, s.choice.m);
-    const Node& node = graph.node(s.node_id);
-    if (s.host.impl != HostImpl::kRefFallback) {
-      if (s.op == OpType::kConv2d) {
-        s.host.instance =
-            host_select_instance_for_conv(s.host.impl, node.conv, s.host.m);
-      } else {
-        s.host.instance = host_select_instance_for_fc(
-            s.host.impl, node.fc.tokens, node.fc.c, node.fc.k, s.host.m);
-      }
-    }
   }
   return s;
 }
@@ -768,14 +755,14 @@ CompiledPlan load_plan_impl(std::span<const uint8_t> bytes,
                        what + " [plan section]");
   CompiledPlan plan;
   plan.options = read_options(plan_r);
-  plan.weight_region = static_cast<MemRegion>(plan_r.u8());
+  plan.weight_region = read_enum(plan_r, MemRegion::kL3, "plan weight_region");
   plan.weight_bytes = plan_r.i64();
   plan.total_macs = plan_r.i64();
   plan.total_cycles = plan_r.u64();
   const size_t steps = plan_r.count<uint32_t>(min_step_bytes());
   plan.steps.reserve(steps);
   for (size_t i = 0; i < steps; ++i) {
-    plan.steps.push_back(read_step(plan_r, blob, *graph));
+    plan.steps.push_back(read_step(plan_r, blob));
   }
   plan.owned_graph = graph;
   plan.graph = graph.get();
@@ -795,6 +782,14 @@ CompiledPlan load_plan_impl(std::span<const uint8_t> bytes,
   // freshly compiled plans entering the serving PlanStore
   VerifyReport verdict = verify_plan(plan);
   if (!verdict.ok()) throw VerifyError(std::move(verdict));
+
+  // Host kernel bindings are derived, never read: each gemm step's gather
+  // plan is decoded from the packed payload verify_plan has just bounded
+  // (pack.meta, pack.offset_range) and tied to the fingerprinted graph
+  // (pack.roundtrip), by the function the compiler binds it with.
+  for (PlanStep& s : plan.steps) {
+    if (is_gemm(s.op)) s.host = host_dispatch_for(graph->node(s.node_id), s);
+  }
   return plan;
 }
 

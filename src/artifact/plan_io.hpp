@@ -12,12 +12,14 @@
 //   plan     CompileOptions (the nine plan-shaping fields) and every
 //            PlanStep: kernel choice, tile plans, tile costs, shard
 //            metadata, layer reports, and weight-section references for
-//            the NmPacked payloads and host-dispatch gather arrays.
-//   weights  the payload blob: NmPacked values/offsets, the host gather
-//            arrays, and gemm biases, each 64-byte aligned. This is the
-//            section N server processes share physically: load_plan
-//            builds SharedBuf views that alias the file mapping instead
-//            of copying.
+//            the NmPacked payloads.
+//   weights  the payload blob: NmPacked values/offsets and gemm biases,
+//            each 64-byte aligned. This is the section N server processes
+//            share physically: load_plan builds SharedBuf views of the
+//            packed payload that alias the file mapping instead of
+//            copying. Host kernel bindings (the gather CSR) are not
+//            stored: the loader derives them from the packed payload,
+//            which the verifier ties to the fingerprinted graph.
 //
 // The bytes are a function of the plan alone — its graph and compile
 // options — so one plan identity always serializes to the same file,
@@ -31,9 +33,9 @@
 // load_plan() runs them, refuses a header that names another plan
 // identity than the caller expects, rehydrates, re-derives both
 // fingerprints from the rehydrated content (artifact.fingerprint), and
-// finally runs the static plan verifier (verify_plan) — a corrupt or
-// forged artifact is rejected before anything executes from it, and
-// leaves no state behind.
+// runs the static plan verifier (verify_plan) — a corrupt or forged
+// artifact is rejected before anything executes from it, and leaves no
+// state behind. Every enum field is range-checked as it is read.
 
 #include <cstdint>
 #include <memory>
@@ -48,10 +50,11 @@
 
 namespace decimate::artifact {
 
-// v3: graph, plan and weight sections only (v2 also carried the
-// compile-time latency-cache records). Artifacts of any other version
-// are refused.
-constexpr uint32_t kFormatVersion = 3;
+// v4: graph, plan and weight sections; the weight section holds the
+// packed payloads and biases only (v3 also stored each sparse step's host
+// gather arrays, v2 the compile-time latency-cache records). Artifacts of
+// any other version are refused.
+constexpr uint32_t kFormatVersion = 4;
 
 /// Fixed header size: magic + version + plan/graph fingerprints +
 /// 3-entry section table + header CRC (the last 4 bytes of the header).
@@ -87,13 +90,15 @@ VerifyReport verify_artifact(std::span<const uint8_t> bytes,
                              const std::string& what);
 
 /// Rehydrate a plan from a mapped artifact. SharedBuf payloads (NmPacked
-/// values/offsets, host gather arrays) alias the mapping — `file` is
-/// kept alive by the returned plan; the plan owns its rehydrated graph
+/// values/offsets) alias the mapping — `file` is kept alive by the
+/// returned plan; the plan owns its rehydrated graph
 /// (CompiledPlan::owned_graph).
 /// Admission gate: runs verify_artifact, then (when `expect_fingerprint`
 /// is set) refuses a header naming another plan identity, then the
 /// artifact.fingerprint re-derivation and verify_plan; throws
-/// VerifyError on any error-level finding.
+/// VerifyError on any error-level finding, and decimate::Error on bytes
+/// that do not parse (an out-of-range enum, a count past the section).
+/// Only then are the host kernel bindings built (host_dispatch_for).
 CompiledPlan load_plan(std::shared_ptr<MappedFile> file,
                        std::optional<uint64_t> expect_fingerprint = {});
 

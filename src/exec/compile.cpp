@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "common/bitutil.hpp"
+#include "exec/node_exec.hpp"
 #include "exec/tile_runner.hpp"
 #include "kernels/vecops.hpp"
 #include "nn/prune.hpp"
@@ -255,8 +256,7 @@ void Compiler::compile_gemm_node(const Graph& graph, const Node& node,
                             TileRunner::layout_for(choice.kind));
       step.has_packed = true;
     }
-    step.host =
-        host_dispatch_for_conv(g, step.has_packed ? &step.packed : nullptr);
+    step.host = host_dispatch_for(node, step);
     return;
   }
 
@@ -381,9 +381,7 @@ void Compiler::compile_gemm_node(const Graph& graph, const Node& node,
                           TileRunner::layout_for(choice.kind));
     step.has_packed = true;
   }
-  // matmul weights are dynamic activations, so it always dispatches dense
-  step.host = host_dispatch_for_fc(
-      g.k, g.c, step.has_packed ? &step.packed : nullptr, g.tokens);
+  step.host = host_dispatch_for(node, step);
 }
 
 void Compiler::compile_vec_node(const Graph& graph, const Node& node,

@@ -39,6 +39,16 @@ Tensor8 transpose2d(const Tensor8& x) {
   return out;
 }
 
+HostKernelDispatch host_dispatch_for(const Node& node, const PlanStep& step) {
+  const NmPacked* packed = step.has_packed ? &step.packed : nullptr;
+  if (node.op == OpType::kConv2d) {
+    return host_dispatch_for_conv(node.conv, packed);
+  }
+  // matmul weights are dynamic activations: it never carries a payload,
+  // so it always dispatches dense
+  return host_dispatch_for_fc(node.fc.k, node.fc.c, packed, node.fc.tokens);
+}
+
 void exec_gemm_node_host(const PlanStep& step, const Node& node,
                          const Tensor8& in, const Tensor8* b_operand,
                          bool use_host, Tensor8& out) {

@@ -17,6 +17,14 @@ namespace decimate {
 /// Row/column transpose of a 2D tensor (matmul transpose_b operand).
 Tensor8 transpose2d(const Tensor8& x);
 
+/// The host kernel binding of a gemm step, built from its node's geometry
+/// and the step's packed N:M payload: the sparse gather kernels when the
+/// step carries one, blocked dense otherwise. The compiler binds every
+/// gemm step with it, and the `.plan` loader rebuilds the same binding
+/// from the payload verify_plan has admitted — it is never read from
+/// artifact bytes.
+HostKernelDispatch host_dispatch_for(const Node& node, const PlanStep& step);
+
 /// Execute a gemm node (conv / fc / matmul): operand selection (matmul
 /// transpose, zero bias) plus the numerics, routed through the step's
 /// HostKernelDispatch when `use_host` is set (sparse steps run the N:M

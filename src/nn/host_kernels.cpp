@@ -248,15 +248,6 @@ void build_gather(const NmPacked& packed, HostKernelDispatch& d) {
 
 }  // namespace
 
-int host_select_instance_for_conv(HostImpl family, const ConvGeom& g, int m) {
-  return select_conv_instance(family, g, m);
-}
-
-int host_select_instance_for_fc(HostImpl family, int tokens, int c, int k,
-                                int m) {
-  return select_fc_instance(family, tokens, c, k, m);
-}
-
 const char* host_impl_name(HostImpl impl) {
   switch (impl) {
     case HostImpl::kRefFallback: return "ref";

@@ -17,11 +17,13 @@
 //    per-element Tensor::at. Per-output-channel accumulation order is
 //    exactly the reference order, so outputs match bit for bit.
 //
-// A HostKernelDispatch is built once at compile time (per PlanStep) from
-// the step's KernelChoice: sparse steps decode the packed weights into
-// the gather plan both sparse families share, dense steps carry just the
-// implementation tag. A default-constructed dispatch falls back to the
-// reference ops, which stay the bit-exactness oracle.
+// A HostKernelDispatch is built in-process per PlanStep, from the step's
+// node and packed weights, when the plan is compiled and again when a
+// `.plan` artifact is loaded (it is never serialized): sparse steps decode
+// the packed weights into the gather plan both sparse families share,
+// dense steps carry just the implementation tag. A default-constructed
+// dispatch falls back to the reference ops, which stay the bit-exactness
+// oracle.
 
 #include <cstdint>
 #include <vector>
@@ -45,10 +47,10 @@ enum class HostImpl : uint8_t {
 
 const char* host_impl_name(HostImpl impl);
 
-/// Compile-time product of lowering one gemm node to a host kernel. The
-/// sparse gather plan is self-contained (decoded values + indices), so it
-/// survives plan copies and never dangles into the NmPacked it was built
-/// from.
+/// Product of lowering one gemm node to a host kernel, built in-process at
+/// compile and at load. The sparse gather plan is self-contained (decoded
+/// values + indices), so it survives plan copies and never dangles into
+/// the NmPacked it was built from.
 struct HostKernelDispatch {
   HostImpl impl = HostImpl::kRefFallback;
   int m = 0;  // N:M block size for the sparse impls (0 = dense)
@@ -64,12 +66,9 @@ struct HostKernelDispatch {
   // the non-zero's position in the dense weight row (conv: tap * C +
   // channel < fsz, FC: input feature < C), so one row loop serves both
   // families. The streamed arrays are 64-byte aligned so vector loads
-  // never straddle a cache line at the base. Arrays are SharedBufs:
-  // built/owned at compile time, read-only views into the artifact's
-  // mmap'd weight section when the plan was loaded from the registry (so
-  // server processes share one physical copy of the gather plan instead
-  // of each decoding its own); verify_plan bounds every column before a
-  // loaded plan runs.
+  // never straddle a cache line at the base. Arrays are SharedBufs, so
+  // plan copies share one decoded gather plan; each process decodes its
+  // own from the packed payload, which is all a `.plan` artifact stores.
   SharedBuf<int32_t> row_start;
   SharedBuf<uint16_t> col;
   SharedBuf<int8_t> val;  // non-zero values, parallel to col
@@ -80,16 +79,6 @@ struct HostKernelDispatch {
   /// MACs one output element costs (nz per row for sparse, cols dense).
   int64_t nz_total() const { return static_cast<int64_t>(val.size()); }
 };
-
-/// Re-select the kernel instance index for a dispatch whose arrays were
-/// rehydrated from a plan artifact: the index is a position in this
-/// host's static instance registry (ISA-dependent), so it is never
-/// serialized — loaders call these with the deserialized family/geometry
-/// to bind the dispatch to the loading host. Same selection logic as
-/// host_dispatch_for_conv / host_dispatch_for_fc.
-int host_select_instance_for_conv(HostImpl family, const ConvGeom& g, int m);
-int host_select_instance_for_fc(HostImpl family, int tokens, int c, int k,
-                                int m);
 
 /// Build the dispatch for a conv node: sparse gather plan when `packed`
 /// is non-null (any NmLayout; logical offsets are decoded; fsz must fit

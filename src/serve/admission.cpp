@@ -13,6 +13,7 @@ const char* to_string(ServeReason reason) {
     case ServeReason::kShedPredictedWait: return "shed_predicted_wait";
     case ServeReason::kWorkerFault: return "worker_fault";
     case ServeReason::kTimeout: return "timeout";
+    case ServeReason::kMalformed: return "malformed";
   }
   return "?";
 }

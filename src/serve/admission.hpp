@@ -40,6 +40,8 @@ enum class ServeReason : uint8_t {
   kShedPredictedWait,    // shed: queue wait left no budget to execute
   kWorkerFault,          // execution kept failing after retries
   kTimeout,              // watchdog expired and per-image redispatch failed
+  kMalformed,            // refused at submit: unknown (unwarmed) model or
+                         // an input that is not the model's input shape
 };
 
 const char* to_string(ServeReason reason);

@@ -131,6 +131,7 @@ void WallClockServer::warm(int model) {
                           static_cast<double>(modeled_cycles_for(model, 1));
   ns_per_cycle_ =
       ns_per_cycle_ == 0.0 ? measured : 0.5 * ns_per_cycle_ + 0.5 * measured;
+  input_shapes_[model] = input.shape();
 }
 
 uint64_t WallClockServer::modeled_cycles_for(int model, int batch) const {
@@ -209,6 +210,18 @@ void WallClockServer::submit(WallRequest r) {
     QueuedRequest q;
     q.arrival_ns = now;
     q.deadline_abs_ns = saturating_add(now, rel);
+    // validate at the boundary: a request that cannot run must end as its
+    // own typed rejection, not fail the batch it would join
+    const auto shape = input_shapes_.find(r.model);
+    if (shape == input_shapes_.end() || r.input.shape() != shape->second) {
+      const char* detail = shape == input_shapes_.end()
+                               ? "model was never warm()ed"
+                               : "input is not the model's input shape";
+      q.req = std::move(r);
+      record_terminal(q, ServeOutcome::kRejected, ServeReason::kMalformed,
+                      detail, 0);
+      return;
+    }
     q.predicted_exec_ns = predicted_exec_ns_locked(r.model, 1);
     q.req = std::move(r);
     const ServeReason why =

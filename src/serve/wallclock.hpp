@@ -12,7 +12,8 @@
 //
 // Flow of a request:
 //
-//   submit() ── admission_decision ──reject──> WallServed{kRejected}
+//   submit() ── malformed (unwarmed model, wrong input shape) or
+//      │        admission_decision ──reject──> WallServed{kRejected}
 //      │ admit
 //      v
 //   EdfQueue (bounded; overflow sheds lowest-value/latest-deadline)
@@ -97,7 +98,7 @@ struct WallClockConfig {
 /// How a request's story ended.
 enum class ServeOutcome : uint8_t {
   kOk = 0,
-  kRejected,  // refused at submit() by admission control
+  kRejected,  // refused at submit(): malformed, or by admission control
   kShed,      // admitted, then load-shed before execution
   kFailed,    // executed but kept failing after the whole recovery ladder
 };
@@ -156,13 +157,16 @@ class WallClockServer {
   /// Compile every plan serving can request for `model` and fill every
   /// executor's Dispatcher cost table, then time one calibration
   /// inference — a one-image run_batch, the call an executor makes — to
-  /// seed the ns/cycle EWMA. Must run before serve(): once serve() has
-  /// started, warm() throws an Error (the check and serve()'s start are
-  /// under one mutex, so the two never interleave).
+  /// seed the ns/cycle EWMA, and record the model's input shape. Must run
+  /// before serve(): once serve() has started, warm() throws an Error
+  /// (the check and serve()'s start are under one mutex, so the two never
+  /// interleave).
   void warm(int model);
 
   /// Thread-safe. Stamps arrival, decides admission, enqueues or records
-  /// the typed rejection. Never blocks on execution.
+  /// the typed rejection. A request for a model that was never warm()ed,
+  /// or whose input is not that model's input shape, is rejected as
+  /// kMalformed before it can reach a batch. Never blocks on execution.
   void submit(WallRequest r);
 
   /// No further submits; serve() returns once the queue drains.
@@ -240,6 +244,7 @@ class WallClockServer {
   uint64_t inflight_pred_ns_ = 0;
   int brownout_level_ = 0;
   std::map<int, int> consecutive_failures_;
+  std::map<int, std::vector<int>> input_shapes_;  // per warm()ed model
 
   // executor state (exec_mu_)
   std::mutex exec_mu_;

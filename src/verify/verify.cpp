@@ -235,7 +235,6 @@ class PlanVerifier {
             "conv tile L1 footprint " + str(step.conv_tiles.l1_bytes) +
                 " outside (0, " + str(MemoryMap::kL1Size) + "]");
     check_pack(step, node, g.k, g.fsz());
-    check_gather(step, g.k, g.fsz());
     check_gemm_quant(step, node, g.fsz());
     check_program(step);
   }
@@ -277,7 +276,6 @@ class PlanVerifier {
             "fc tile L1 footprint " + str(step.fc_tiles.l1_bytes) +
                 " outside (0, " + str(MemoryMap::kL1Size) + "]");
     check_pack(step, node, g.k, g.c);
-    check_gather(step, g.k, g.c);
     check_gemm_quant(step, node, g.c);
     check_program(step);
   }
@@ -522,36 +520,6 @@ class PlanVerifier {
               "packed weights do not decode back to the graph's dense "
               "weights");
     }
-  }
-
-  /// The host gather plan a sparse step's kernels index with: a CSR of
-  /// `rows` + 1 non-decreasing offsets from 0 to the non-zero count, and
-  /// every column inside the dense row (conv: fsz, FC: C). A loaded plan's
-  /// arrays come from artifact bytes, so this is what keeps an edited
-  /// entry from indexing outside the kernels' buffers.
-  void check_gather(const PlanStep& step, int rows, int cols) {
-    const HostKernelDispatch& d = step.host;
-    if (!d.sparse()) return;
-    const size_t nz = d.val.size();
-    bool csr_ok = d.row_start.size() == static_cast<size_t>(rows) + 1 &&
-                  d.col.size() == nz && d.row_start[0] == 0 &&
-                  static_cast<size_t>(d.row_start[static_cast<size_t>(rows)]) ==
-                      nz;
-    for (int r = 0; csr_ok && r < rows; ++r) {
-      csr_ok = d.row_start[static_cast<size_t>(r)] <=
-               d.row_start[static_cast<size_t>(r) + 1];
-    }
-    if (!require(csr_ok, "host.gather", step.node_id,
-                 "gather row_start is not a CSR of " + str(rows) +
-                     " rows over " + str(static_cast<int64_t>(nz)) +
-                     " non-zeros")) {
-      return;
-    }
-    require(std::all_of(d.col.begin(), d.col.end(),
-                        [cols](uint16_t c) { return c < cols; }),
-            "host.gather", step.node_id,
-            "a gather column lies outside the " + str(cols) +
-                "-column weight row");
   }
 
   // -- family 4: quantization range analysis -------------------------------

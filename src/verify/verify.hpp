@@ -16,7 +16,6 @@
 //             exactly once (batch-fused: once per image), no overlap
 //   pack.*    N:M packed weights: field widths, offset ranges, layout
 //             duplication rules, dense round-trip
-//   host.*    host-kernel gather plan: CSR shape, column bounds
 //   quant.*   worst-case int32 accumulator and requant legality
 //   prog.*    kernel program operand/target bounds
 //   mem.*     L1 footprints, DMA windows, weight-region budgets

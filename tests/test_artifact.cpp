@@ -1,9 +1,11 @@
 // Plan-artifact registry tests: serde primitives, serialize -> load
 // round-trips that must be bit-exact across every execution path
-// (ExecutionEngine::run, pipelined run_batch) and reproduce the shard
+// (ExecutionEngine::run, pipelined run_batch), rebuild the compiler's
+// host kernel bindings field for field, and reproduce the shard
 // schedule, artifact bytes that depend only on graph and options, the
 // admission gate (truncation, bit flips, version skew, forged
-// fingerprints, out-of-range gather columns, edited counts), concurrent
+// fingerprints, out-of-range enum values, edited counts, and a seeded
+// sweep of re-sealed single-byte edits over every section), concurrent
 // loads, graph ownership of loaded plans, and the PlanStore registry
 // tier's zero-compile / zero-ISS cold start, its fallback on a bad or
 // misfiled artifact, and the absence of any state a rejected artifact
@@ -17,6 +19,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 #include <unistd.h>
 
@@ -27,6 +30,7 @@
 #include "exec/compile.hpp"
 #include "exec/engine.hpp"
 #include "models/models.hpp"
+#include "nn/prune.hpp"
 #include "serve/plan_store.hpp"
 #include "shard/shard_planner.hpp"
 #include "trace/metrics.hpp"
@@ -72,6 +76,28 @@ CompiledPlan compile_plan(const Graph& g, const CompileOptions& opt) {
 CompiledPlan round_trip(const CompiledPlan& plan) {
   const auto bytes = artifact::serialize_plan(plan);
   return artifact::load_plan_from_bytes(bytes, "round-trip");
+}
+
+template <typename T>
+bool same_array(const SharedBuf<T>& a, const SharedBuf<T>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+/// A loaded plan's host kernel bindings, which the loader derives from
+/// the packed payload, equal the compiler's field for field.
+void expect_same_host_bindings(const CompiledPlan& loaded,
+                               const CompiledPlan& fresh) {
+  ASSERT_EQ(loaded.steps.size(), fresh.steps.size());
+  for (size_t i = 0; i < fresh.steps.size(); ++i) {
+    const HostKernelDispatch& got = loaded.steps[i].host;
+    const HostKernelDispatch& want = fresh.steps[i].host;
+    EXPECT_EQ(got.impl, want.impl) << "step " << i;
+    EXPECT_EQ(got.m, want.m) << "step " << i;
+    EXPECT_EQ(got.instance, want.instance) << "step " << i;
+    EXPECT_TRUE(same_array(got.row_start, want.row_start)) << "step " << i;
+    EXPECT_TRUE(same_array(got.col, want.col)) << "step " << i;
+    EXPECT_TRUE(same_array(got.val, want.val)) << "step " << i;
+  }
 }
 
 /// A scratch directory that cleans up after itself.
@@ -167,6 +193,7 @@ TEST(PlanArtifact, ResnetSweepRoundTripsBitExact) {
                 plan.steps[i].report.total_cycles);
       EXPECT_EQ(loaded.steps[i].report.impl, plan.steps[i].report.impl);
     }
+    expect_same_host_bindings(loaded, plan);
 
     const Tensor8 input = random_input(g, 100 + static_cast<uint64_t>(m));
     ExecutionEngine engine;
@@ -178,23 +205,29 @@ TEST(PlanArtifact, ResnetSweepRoundTripsBitExact) {
 }
 
 TEST(PlanArtifact, FfnBatchRunRoundTripsBitExact) {
+  // xDecimate options pack the FC weights interleaved, the default
+  // options in the SW layout
   const Graph g = small_ffn();
-  CompileOptions opt = isa_options();
-  opt.batch = 4;
-  const CompiledPlan plan = compile_plan(g, opt);
-  const CompiledPlan loaded = round_trip(plan);
+  for (const bool isa : {true, false}) {
+    CompileOptions opt = isa ? isa_options() : CompileOptions{};
+    opt.batch = 4;
+    const CompiledPlan plan = compile_plan(g, opt);
+    const CompiledPlan loaded = round_trip(plan);
+    expect_same_host_bindings(loaded, plan);
 
-  std::vector<Tensor8> inputs;
-  for (int i = 0; i < 4; ++i) {
-    inputs.push_back(random_input(g, 200 + static_cast<uint64_t>(i)));
-  }
-  ExecutionEngine engine;
-  const BatchRun fresh = engine.run_batch(plan, inputs);
-  const BatchRun reloaded = engine.run_batch(loaded, inputs);
-  EXPECT_EQ(reloaded.batch_cycles, fresh.batch_cycles);
-  ASSERT_EQ(reloaded.runs.size(), fresh.runs.size());
-  for (size_t i = 0; i < fresh.runs.size(); ++i) {
-    EXPECT_EQ(reloaded.runs[i].output, fresh.runs[i].output);
+    std::vector<Tensor8> inputs;
+    for (int i = 0; i < 4; ++i) {
+      inputs.push_back(random_input(g, 200 + static_cast<uint64_t>(i)));
+    }
+    ExecutionEngine engine;
+    const BatchRun fresh = engine.run_batch(plan, inputs);
+    const BatchRun reloaded = engine.run_batch(loaded, inputs);
+    EXPECT_EQ(reloaded.batch_cycles, fresh.batch_cycles) << "isa=" << isa;
+    ASSERT_EQ(reloaded.runs.size(), fresh.runs.size());
+    for (size_t i = 0; i < fresh.runs.size(); ++i) {
+      EXPECT_EQ(reloaded.runs[i].output, fresh.runs[i].output)
+          << "isa=" << isa;
+    }
   }
 }
 
@@ -272,7 +305,6 @@ TEST(PlanArtifact, PayloadViewsAliasTheArtifactBytes) {
     EXPECT_GE(p, file->data());
     EXPECT_LT(p, file->data() + file->size());
     EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 64, 0u);
-    EXPECT_TRUE(s.host.val.is_view());
   }
   EXPECT_TRUE(saw_sparse);
 }
@@ -287,7 +319,8 @@ struct Corruptible {
       : bytes(artifact::serialize_plan(plan)) {}
 
   // Section ids, in the order of the header's section table.
-  static constexpr size_t kPlanSection = 1, kWeightSection = 2;
+  static constexpr size_t kGraphSection = 0, kPlanSection = 1,
+                          kWeightSection = 2, kSections = 3;
 
   /// Byte offset of section `id`'s table entry: after magic, version,
   /// both fingerprints and the count, entries of id, offset, size, crc.
@@ -410,67 +443,6 @@ TEST(PlanArtifact, RejectsForgedFingerprint) {
   }
 }
 
-/// A copy of `plan` whose first sparse step gathers from column 65535,
-/// past the end of any dense weight row in these models.
-CompiledPlan with_out_of_range_column(const CompiledPlan& plan) {
-  CompiledPlan bad = plan;
-  for (PlanStep& s : bad.steps) {
-    if (!s.host.sparse()) continue;
-    SharedBuf<uint16_t> col;  // own copy: plan copies share payloads
-    for (const uint16_t c : s.host.col) col.push_back(c);
-    col[0] = 65535;
-    s.host.col = col;
-    return bad;
-  }
-  ADD_FAILURE() << "plan has no sparse step";
-  return bad;
-}
-
-TEST(PlanArtifact, RejectsOutOfRangeGatherColumn) {
-  // the gather columns index the kernels' block buffers directly (FC
-  // tokens, conv im2col pixels): one out of range is refused by
-  // verify_plan, whether in memory or edited into a re-sealed artifact
-  for (const bool conv : {false, true}) {
-    const Graph g = conv ? scaled_resnet18(16) : small_ffn();
-    const CompiledPlan plan = compile_plan(g, isa_options());
-    const char* model = conv ? "resnet18" : "ffn";
-
-    const CompiledPlan bad = with_out_of_range_column(plan);
-    EXPECT_TRUE(verify_plan(bad).has("host.gather")) << model;
-    EXPECT_THROW(artifact::load_plan_from_bytes(artifact::serialize_plan(bad),
-                                                "bad-col"),
-                 VerifyError)
-        << model;
-
-    // locate the first sparse step's stored columns through a mapped load
-    TempDir dir;
-    fs::create_directories(dir.path);
-    const std::string path = dir.path + "/plan.plan";
-    Corruptible a(plan);
-    a.write_to(path);
-    const auto file = MappedFile::open(path);
-    ASSERT_NE(file, nullptr);
-    size_t col_at = 0;
-    for (const PlanStep& s : artifact::load_plan(file).steps) {
-      if (!s.host.sparse()) continue;
-      col_at = static_cast<size_t>(
-          reinterpret_cast<const uint8_t*>(s.host.col.data()) - file->data());
-      break;
-    }
-    ASSERT_GT(col_at, 0u) << model;
-    a.bytes[col_at] = 0xff;
-    a.bytes[col_at + 1] = 0xff;
-    a.reseal(Corruptible::kWeightSection);
-    ASSERT_TRUE(artifact::verify_artifact(a.bytes, "resealed").ok()) << model;
-    try {
-      artifact::load_plan_from_bytes(a.bytes, "resealed");
-      FAIL() << model << ": out-of-range gather column was admitted";
-    } catch (const VerifyError& e) {
-      EXPECT_TRUE(e.report().has("host.gather")) << model;
-    }
-  }
-}
-
 /// `plan`'s artifact with one count edited to 0xFFFFFFFF and re-sealed:
 /// the plan section's step count, or the first tiled step's tile_costs
 /// count. Either would size an allocation far beyond the artifact (tens
@@ -521,6 +493,169 @@ TEST(PlanArtifact, RejectsEditedCountsBeforeAllocating) {
                      with_huge_count(plan, step_count).bytes, "huge-count"),
                  Error)
         << (step_count ? "step count" : "tile_costs count");
+  }
+}
+
+/// A copy of `plan` with `edit` applied to the first step `pick` selects
+/// (enum fields only: plan copies share their payload arrays).
+CompiledPlan with_step_edit(const CompiledPlan& plan,
+                            const std::function<bool(const PlanStep&)>& pick,
+                            const std::function<void(PlanStep&)>& edit) {
+  CompiledPlan out = plan;
+  const auto it = std::find_if(out.steps.begin(), out.steps.end(), pick);
+  if (it == out.steps.end()) {
+    ADD_FAILURE() << "no step to edit";
+  } else {
+    edit(*it);
+  }
+  return out;
+}
+
+TEST(PlanArtifact, RejectsOutOfRangeEnumValues) {
+  // each value is written into the artifact as it stands in memory; one
+  // past its enum's last enumerator must be refused by the loader, naming
+  // the field (shard_axis 3 was the deleted kFcC reduction split)
+  const Graph g = ffn_1_4();
+  CompileOptions opt = isa_options();
+  opt.num_clusters = 2;
+  const CompiledPlan plan = compile_plan(g, opt);
+  const auto tiled = [](const PlanStep& s) {
+    return s.shard_axis == ShardAxis::kGemmTiles;
+  };
+  const auto sparse = [](const PlanStep& s) { return s.has_packed; };
+  struct Case {
+    const char* field;
+    CompiledPlan plan;
+  };
+  const Case cases[] = {
+      {"shard_axis", with_step_edit(plan, tiled, [](PlanStep& s) {
+         s.shard_axis = static_cast<ShardAxis>(3);
+       })},
+      {"shard_axis", with_step_edit(plan, tiled, [](PlanStep& s) {
+         s.shard_axis = static_cast<ShardAxis>(200);
+       })},
+      {"step weight_region", with_step_edit(plan, sparse, [](PlanStep& s) {
+         s.weight_region = static_cast<MemRegion>(9);
+       })},
+      {"choice.kind", with_step_edit(plan, sparse, [](PlanStep& s) {
+         s.choice.kind = static_cast<KernelKind>(200);
+       })},
+  };
+  for (const Case& c : cases) {
+    try {
+      artifact::load_plan_from_bytes(artifact::serialize_plan(c.plan),
+                                     "bad-enum");
+      ADD_FAILURE() << "an out-of-range " << c.field << " was admitted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // a registry-backed store counts the refusal as a fault and recompiles
+  const CompiledPlan single = compile_plan(g, isa_options());
+  TempDir dir;
+  Corruptible bad(with_step_edit(single, sparse, [](PlanStep& s) {
+    s.weight_region = static_cast<MemRegion>(9);
+  }));
+  bad.write_to(PlanRegistry(dir.path).publish(single));
+  PlanStore store(isa_options(), shared_test_cache());
+  store.attach_registry(dir.path);
+  const CompiledPlan& served = store.plan(store.add_model(g), 1);
+  EXPECT_EQ(store.registry_faults(), 1);
+  EXPECT_EQ(store.compiles(), 1);
+  const Tensor8 input = random_input(g, 53);
+  EXPECT_EQ(ExecutionEngine().run(served, input).output,
+            ExecutionEngine().run(single, input).output);
+}
+
+/// One sparse conv layer, 8x8x16 -> 32, 3x3, 1:8: the conv half of the
+/// edit sweep, small enough to load hundreds of times.
+Graph single_sparse_conv() {
+  const ConvGeom g{.ix = 8, .iy = 8, .c = 16, .k = 32, .fx = 3, .fy = 3,
+                   .stride = 1, .pad = 1};
+  Rng rng(7);
+  Graph graph({g.iy, g.ix, g.c});
+  Node n;
+  n.op = OpType::kConv2d;
+  n.name = "conv";
+  n.inputs = {0};
+  n.conv = g;
+  n.weights = Tensor8::random({g.k, g.fsz()}, rng);
+  nm_prune(n.weights.flat(), g.k, g.fsz(), 1, 8);
+  Tensor32 bias({g.k});
+  for (int i = 0; i < g.k; ++i) bias[i] = rng.uniform_int(-500, 500);
+  n.bias = std::move(bias);
+  n.rq = calibrate_requant(g.fsz());
+  n.out_shape = {g.oy(), g.ox(), g.k};
+  graph.add(std::move(n));
+  return graph;
+}
+
+/// Load a re-sealed, edited artifact and run it: "" when the loader
+/// refuses it with a typed error or it runs bit-exact with `expect`,
+/// otherwise what went wrong.
+std::string edit_verdict(const std::vector<uint8_t>& bytes,
+                         const Tensor8& input, const Tensor8& expect) {
+  CompiledPlan loaded;
+  try {
+    loaded = artifact::load_plan_from_bytes(bytes, "edited");
+  } catch (const Error&) {
+    return "";  // refused (VerifyError is an Error)
+  } catch (const std::exception& e) {
+    return std::string("untyped load error: ") + e.what();
+  }
+  try {
+    if (ExecutionEngine().run(loaded, input).output == expect) return "";
+    return "admitted, and served a wrong output";
+  } catch (const std::exception& e) {
+    return std::string("admitted, then failed to run: ") + e.what();
+  }
+}
+
+TEST(PlanArtifact, SeededSectionEditsAreRefusedOrExact) {
+  // 300 seeded single-byte edits per section, each re-sealed (section and
+  // header CRC) so only the loader's own checks can catch it: every edit
+  // must be refused or run bit-exact with the unedited plan. A failure
+  // prints what reproduces it, to be minimized into a named regression.
+  constexpr int kEditsPerSection = 300;
+  const char* const kSectionName[] = {"graph", "plan", "weights"};
+  const Graph ffn = ffn_1_4();
+  const Graph conv = single_sparse_conv();
+  for (const Graph* g : {&ffn, &conv}) {
+    const char* model = g == &ffn ? "ffn 1:4" : "conv 1:8";
+    const CompiledPlan plan = compile_plan(*g, isa_options());
+    const Tensor8 input = random_input(*g, 61);
+    const Tensor8 expect = ExecutionEngine().run(plan, input).output;
+    const Corruptible clean(plan);
+    for (size_t id = 0; id < Corruptible::kSections; ++id) {
+      const size_t base =
+          static_cast<size_t>(clean.section(id).data() - clean.bytes.data());
+      const size_t size = clean.section(id).size();
+      ASSERT_GT(size, 0u);
+      int refused_or_exact = 0;
+      for (int i = 0; i < kEditsPerSection; ++i) {
+        const uint64_t seed = 1000 * id + static_cast<uint64_t>(i);
+        Rng rng(seed);
+        const size_t at =
+            base + static_cast<size_t>(rng.next_u32() % size);
+        Corruptible a = clean;
+        const uint8_t old_byte = a.bytes[at];
+        a.bytes[at] ^= static_cast<uint8_t>(rng.uniform_int(1, 255));
+        a.reseal(id);
+        const std::string verdict = edit_verdict(a.bytes, input, expect);
+        if (verdict.empty()) {
+          ++refused_or_exact;
+          continue;
+        }
+        ADD_FAILURE() << model << ", seed " << seed << ", " << kSectionName[id]
+                      << " section offset " << at - base << ": byte "
+                      << static_cast<int>(old_byte) << " -> "
+                      << static_cast<int>(a.bytes[at]) << ": " << verdict;
+      }
+      EXPECT_EQ(refused_or_exact, kEditsPerSection)
+          << model << ", " << kSectionName[id] << " section";
+    }
   }
 }
 

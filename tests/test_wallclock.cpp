@@ -3,10 +3,11 @@
 // decision, the ns -> cycle budget translation, and the WallClockServer
 // end to end — a 4-thread bit-exact smoke (the TSan target), warm()
 // refused once serve() runs (on a model whose one-image batches split
-// over the executor's pool), prediction
-// error against the pre-dispatch prediction, reject-at-admission, a
-// deadline too long for the clock, shed-under-burst, and every rung of
-// the fault-tolerance ladder under seeded injection: retry-then-succeed,
+// over the executor's pool), prediction error against the pre-dispatch
+// prediction, reject-at-admission, a malformed request (wrong input
+// shape, unknown model) rejected on its own, a deadline too long for
+// the clock, shed-under-burst, and every rung of the fault-tolerance
+// ladder under seeded injection: retry-then-succeed,
 // watchdog-timeout-then-per-image-redispatch, quarantine-after-N
 // consecutive failures, corrupt-artifact fallback to a fresh compile,
 // and brown-out batch shrinking under a deep queue.
@@ -460,6 +461,86 @@ TEST(WallClock, RejectsAtAdmissionWhenDeadlineIsInfeasible) {
   EXPECT_EQ(by_id[0]->reason, ServeReason::kAdmissionInfeasible);
   EXPECT_THROW(throw by_id[0]->error(), ServeError);
   EXPECT_EQ(by_id[1]->outcome, ServeOutcome::kOk);
+}
+
+TEST(WallClock, WrongShapeRequestIsRejectedAsMalformedAlone) {
+  // one wrong-shape request among well-formed ones in the same batch
+  // window: it ends as its own typed rejection, and the others serve
+  // bit-exactly with no retry and no quarantine
+  PlanStore store(isa_options(), shared_test_cache());
+  const Graph g = small_ffn();
+  const int m = store.add_model(g);
+
+  WallClockConfig cfg;
+  cfg.max_batch = 4;
+  cfg.watchdog_floor_ns = 30'000'000'000;  // a slow host must not redispatch
+  WallClockServer server(store, DispatchConfig{1, {1, 2, 4}}, cfg);
+  server.warm(m);
+
+  auto& malformed =
+      metrics::registry().counter("serve.wall.rejected.malformed");
+  const uint64_t malformed_before = malformed.value();
+  Rng rng(71);
+  std::vector<Tensor8> inputs;
+  for (int i = 0; i < 3; ++i) {
+    inputs.push_back(Tensor8::random(input_shape(g), rng));
+  }
+  std::vector<int> wrong = input_shape(g);
+  wrong[0] += 1;  // one token too many
+  server.submit(request(0, m, inputs[0]));
+  server.submit(request(1, m, Tensor8::random(wrong, rng)));
+  server.submit(request(2, m, inputs[1]));
+  server.submit(request(3, m, inputs[2]));
+  server.close();
+  const auto done = server.serve();
+
+  ASSERT_EQ(done.size(), 4u);
+  ExecutionEngine engine;
+  for (const WallServed& w : done) {
+    EXPECT_EQ(w.retries, 0) << "request " << w.id;
+    EXPECT_FALSE(w.redispatched) << "request " << w.id;
+    if (w.id == 1) {
+      EXPECT_EQ(w.outcome, ServeOutcome::kRejected);
+      EXPECT_EQ(w.reason, ServeReason::kMalformed);
+      EXPECT_THROW(throw w.error(), ServeError);
+      continue;
+    }
+    ASSERT_EQ(w.outcome, ServeOutcome::kOk)
+        << "request " << w.id << ": " << to_string(w.reason) << " "
+        << w.detail;
+    const Tensor8& in = inputs[w.id == 0 ? 0 : w.id - 1];
+    EXPECT_TRUE(w.output == engine.run(store.plan(m, 1, 1), in).output)
+        << "request " << w.id << " output differs from sequential run";
+  }
+  EXPECT_EQ(malformed.value(), malformed_before + 1);
+  EXPECT_EQ(store.quarantines(), 0);
+}
+
+TEST(WallClock, UnknownModelIsRejectedAsMalformed) {
+  // a model id that was never warm()ed has no cost table to admit
+  // against: a typed rejection, not an exception out of submit()
+  PlanStore store(isa_options(), shared_test_cache());
+  const Graph g = small_ffn();
+  const int m = store.add_model(g);
+
+  WallClockConfig cfg;
+  cfg.watchdog_floor_ns = 30'000'000'000;  // a slow host must not redispatch
+  WallClockServer server(store, DispatchConfig{1, {1}}, cfg);
+  server.warm(m);
+
+  Rng rng(73);
+  const Tensor8 input = Tensor8::random(input_shape(g), rng);
+  EXPECT_NO_THROW(server.submit(request(0, m + 1, input)));
+  server.submit(request(1, m, input));
+  server.close();
+  const auto done = server.serve();
+
+  ASSERT_EQ(done.size(), 2u);
+  std::map<uint64_t, const WallServed*> by_id;
+  for (const WallServed& w : done) by_id[w.id] = &w;
+  EXPECT_EQ(by_id[0]->outcome, ServeOutcome::kRejected);
+  EXPECT_EQ(by_id[0]->reason, ServeReason::kMalformed);
+  EXPECT_EQ(by_id[1]->outcome, ServeOutcome::kOk) << by_id[1]->detail;
 }
 
 TEST(WallClock, VeryLongDeadlinesAreServedAsLoose) {
