@@ -10,24 +10,6 @@
 
 namespace decimate {
 
-namespace {
-
-std::string batch_mismatch_message(int fused_batch, int got) {
-  std::ostringstream oss;
-  oss << "plan was compiled batch-fused for " << fused_batch
-      << " images but run_batch got " << got
-      << "; recompile with CompileOptions::batch == " << got
-      << " (or 1 for the unfused pipeline)";
-  return oss.str();
-}
-
-}  // namespace
-
-BatchMismatchError::BatchMismatchError(int fused_batch, int got)
-    : Error(batch_mismatch_message(fused_batch, got)),
-      fused_batch_(fused_batch),
-      got_(got) {}
-
 int ExecutionEngine::hardware_threads() {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
@@ -242,9 +224,11 @@ BatchRun ExecutionEngine::run_batch(const CompiledPlan& plan,
   // A batch-fused plan's tile schedule (and its per-image amortized
   // reports) covers exactly options.batch images; serving a different
   // span would silently stamp a mismatched cycle report on every run.
-  if (plan.options.batch > 1 && n != plan.options.batch) {
-    throw BatchMismatchError(plan.options.batch, n);
-  }
+  DECIMATE_CHECK(plan.options.batch <= 1 || n == plan.options.batch,
+                 "plan was compiled batch-fused for "
+                     << plan.options.batch << " images but run_batch got "
+                     << n << "; recompile with CompileOptions::batch == "
+                     << n << " (or 1 for the unfused pipeline)");
   out.runs.resize(static_cast<size_t>(n));
 
   const int target = std::max(1, workers_ > 0 ? workers_ : hardware_threads());

@@ -28,21 +28,6 @@
 
 namespace decimate {
 
-/// Thrown by run_batch when a batch-fused plan receives a span of a
-/// different size than the plan was fused for. Carries the structured
-/// mismatch so callers (e.g. the serve Dispatcher) can re-chunk the batch
-/// to the plan's fused size instead of parsing an error message.
-class BatchMismatchError : public Error {
- public:
-  BatchMismatchError(int fused_batch, int got);
-  int fused_batch() const { return fused_batch_; }  // plan was fused for
-  int got() const { return got_; }                  // span it was handed
-
- private:
-  int fused_batch_ = 1;
-  int got_ = 0;
-};
-
 /// Aggregate of a pipelined batch execution. Per-image outputs and
 /// reports are bit-exact with N sequential run() calls; the batch cycle
 /// model additionally accounts cross-image DMA/compute overlap.
@@ -87,10 +72,10 @@ class ExecutionEngine {
   /// split set_workers ways over the same pool (steps below the
   /// intra-image MAC floor stay serial). A batch-fused plan
   /// (options.batch > 1) only serves spans of exactly that size —
-  /// anything else throws rather than stamping mismatched cycle reports.
-  /// Concurrent run_batch calls on one engine are safe but serialize on
-  /// the shared per-engine pool (jobs never interleave); callers that
-  /// want parallel batches should use one engine per caller.
+  /// anything else throws an Error rather than stamping mismatched cycle
+  /// reports. Concurrent run_batch calls on one engine are safe but
+  /// serialize on the shared per-engine pool (jobs never interleave);
+  /// callers that want parallel batches should use one engine per caller.
   BatchRun run_batch(const CompiledPlan& plan,
                      std::span<const Tensor8> inputs);
 

@@ -1,6 +1,7 @@
 #include "exec/worker_pool.hpp"
 
 #include "serve/fault.hpp"
+#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace decimate {
@@ -23,6 +24,8 @@ WorkerPool::WorkerPool(int threads) {
   for (int t = 0; t < threads; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
   }
+  metrics::registry().counter("exec.pool.threads_started").inc(
+      workers_.size());
 }
 
 WorkerPool::~WorkerPool() {

@@ -14,8 +14,7 @@ namespace decimate {
 namespace {
 
 // ServedStats bookkeeping, mirrored onto the metrics registry after a
-// batch finishes executing (the fused fallback path may restamp
-// completions, so the final stats are the source of truth).
+// batch finishes executing.
 void record_served_metrics(const DispatchResult& out) {
   auto& reg = metrics::registry();
   switch (out.mode) {
@@ -249,82 +248,20 @@ size_t Dispatcher::choose(const std::vector<ModeEval>& evals) {
   return best;
 }
 
-std::vector<Tensor8> Dispatcher::run_chunk_with_fallback(
-    ExecutionEngine& engine, const CompiledPlan& chunk_plan,
-    const CompiledPlan& single_plan, std::span<const Tensor8> inputs,
-    int& group_size, std::vector<uint64_t>& completion_offsets) {
-  const int b = static_cast<int>(inputs.size());
-  std::vector<Tensor8> outputs;
-  outputs.reserve(static_cast<size_t>(b));
-  completion_offsets.assign(static_cast<size_t>(b), 0);
-  try {
-    BatchRun run = engine.run_batch(chunk_plan, inputs);
-    group_size = b;
-    // a fused chunk completes together
-    const uint64_t dur = ExecutionEngine::modeled_batch_cycles(chunk_plan, b);
-    for (auto& o : completion_offsets) o = dur;
-    for (auto& r : run.runs) outputs.push_back(std::move(r.output));
-  } catch (const BatchMismatchError& e) {
-    // Only this structured error is recoverable: it proves the inputs
-    // are fine and the plan merely covers a different fused batch (a
-    // mis-warmed or externally shared store), so re-running image by
-    // image on the unfused plan is always safe. A bare Error could be
-    // any real failure and must keep propagating.
-    metrics::registry().counter("serve.fallbacks").inc();
-    trace::TraceScope fb_span(trace::Cat::kServe, "dispatcher.fallback");
-    fb_span.sarg("reason", "batch_mismatch");
-    fb_span.arg("fused_for", e.fused_batch());
-    fb_span.arg("got", e.got());
-    group_size = 1;
-    uint64_t at = 0;
-    for (int i = 0; i < b; ++i) {
-      outputs.push_back(engine.run(single_plan, inputs[static_cast<size_t>(i)])
-                            .output);
-      at += ExecutionEngine::modeled_batch_cycles(single_plan, 1);
-      completion_offsets[static_cast<size_t>(i)] = at;  // serial: per image
-    }
-  }
-  return outputs;
-}
-
-void Dispatcher::exec_fused(FormedBatch& batch, const SloConfig& slo,
-                            DispatchResult& out) {
-  const int n = static_cast<int>(batch.requests.size());
+void Dispatcher::exec_fused(FormedBatch& batch, DispatchResult& out) {
   size_t next = 0;
-  // Execution-side cursor. On the happy path it reproduces the modeled
-  // kBatchFused completions already stamped from evaluate(); once a
-  // fused-batch mismatch forces the per-image fallback, everything from
-  // that point on is restamped from the cursor so ServedStats reports
-  // what actually executed. Other placements were never modeled as these
-  // chunks, so their stats stay as modeled.
-  const bool modeled_fused = out.mode == ServeMode::kBatchFused;
-  uint64_t at = batch.dispatch_cycles;
-  bool restamp = false;
-  const CompiledPlan& single = store_.plan(batch.model, 1, 1);
-  for (const int b : fused_chunks(n)) {
+  for (const int b : fused_chunks(static_cast<int>(batch.requests.size()))) {
     std::vector<Tensor8> inputs;
     inputs.reserve(static_cast<size_t>(b));
     for (int j = 0; j < b; ++j) {
       inputs.push_back(
           std::move(batch.requests[next + static_cast<size_t>(j)].input));
     }
-    int group = b;
-    std::vector<uint64_t> offsets;
-    std::vector<Tensor8> outputs =
-        run_chunk_with_fallback(engine_, store_.plan(batch.model, b, 1),
-                                single, inputs, group, offsets);
-    restamp = modeled_fused && (restamp || group != b);
-    for (size_t j = 0; j < outputs.size(); ++j) {
-      out.served[next].output = std::move(outputs[j]);
-      if (restamp) {
-        ServedStats& s = out.served[next].stats;
-        s.group_size = group;
-        s.completion_cycles = at + offsets[j];
-        s.deadline_hit = s.latency_cycles() <= slo.deadline_cycles;
-      }
-      ++next;
+    // the store fused this plan for exactly b images
+    BatchRun run = engine_.run_batch(store_.plan(batch.model, b, 1), inputs);
+    for (NetworkRun& r : run.runs) {
+      out.served[next++].output = std::move(r.output);
     }
-    at += offsets.empty() ? 0 : offsets.back();
   }
   DECIMATE_CHECK(next == batch.requests.size(),
                  "fused chunks did not cover the batch");
@@ -379,13 +316,9 @@ DispatchResult Dispatcher::dispatch(FormedBatch batch, const SloConfig& slo) {
     trace::TraceScope exec_span(trace::Cat::kDispatch, "dispatcher.execute");
     exec_span.sarg("mode", to_string(pick.mode));
     fault::on_site(fault::Site::kDispatchExec);
-    exec_fused(batch, slo, out);
+    exec_fused(batch, out);
   }
-  // after execution: the fused path may have restamped completions on a
-  // mismatch recovery, so the finish time comes from the final stats
-  for (const Served& s : out.served) {
-    out.finish_cycles = std::max(out.finish_cycles, s.stats.completion_cycles);
-  }
+  out.finish_cycles = batch.dispatch_cycles + pick.makespan_cycles;
   record_served_metrics(out);
   return out;
 }

@@ -32,8 +32,11 @@
 // The chosen ServeMode is the modeled placement only: ServedStats' mode,
 // group_size and completion cycles report what evaluate() modeled for it.
 // Since every placement is bit-exact, the host always executes the batch
-// one way — as the fused chunks of the kBatchFused decomposition on a
-// single ExecutionEngine — whatever mode was picked.
+// one way, whatever mode was picked: as the fused chunks of the
+// kBatchFused decomposition on the dispatcher's ExecutionEngine, each
+// chunk one run_batch on the plan the store fused for exactly its size
+// (the store keys plans by fused batch, and a registry artifact must
+// match the key it is loaded under).
 //
 // Every plan comes from the PlanStore; after Dispatcher::warm no dispatch
 // compiles anything. warm() also fills the model's ModelCosts, the
@@ -41,12 +44,6 @@
 // one sharded image's critical path and busy cycles), so evaluate() reads
 // a table instead of re-deriving them — in particular it never re-plans
 // the shard schedule.
-//
-// If run_batch ever reports a fused-batch mismatch (BatchMismatchError —
-// the structured error proves the condition is recoverable, unlike a bare
-// Error), the dispatcher re-runs the chunk image by image on the unfused
-// plan instead of failing the batch, and restamps the affected stats when
-// the modeled placement is kBatchFused.
 //
 // serve_trace is the modeled-cycle serving loop over a complete request
 // trace: a Batcher forms batches from arrival cycles alone, each batch
@@ -57,7 +54,6 @@
 // WallClockServer (wallclock.hpp) serves live requests on wall time.
 
 #include <map>
-#include <span>
 #include <vector>
 
 #include "exec/engine.hpp"
@@ -120,20 +116,6 @@ class Dispatcher {
   /// in the serve.evaluate_ns histogram.
   DispatchResult dispatch(FormedBatch batch, const SloConfig& slo);
 
-  /// Run one fused chunk, recovering from a fused-batch mismatch: if
-  /// `chunk_plan` turns out to be fused for a different batch than
-  /// `inputs` (a mis-warmed or externally shared store), the structured
-  /// BatchMismatchError proves the condition is recoverable and the
-  /// chunk re-runs image by image on `single_plan`. Returns outputs in
-  /// input order and reports the group size that actually executed plus
-  /// each image's modeled completion offset from chunk start (all equal
-  /// on the fused path; serial prefixes on the fallback). Static and
-  /// public so the recovery path is directly testable.
-  static std::vector<Tensor8> run_chunk_with_fallback(
-      ExecutionEngine& engine, const CompiledPlan& chunk_plan,
-      const CompiledPlan& single_plan, std::span<const Tensor8> inputs,
-      int& group_size, std::vector<uint64_t>& completion_offsets);
-
   /// Pre-compile every plan this dispatcher can request for `model`
   /// (all fused batch sizes at one cluster, the shard-aware single-image
   /// plan that models kShardedSingle, and its shard schedule), so serving
@@ -152,6 +134,8 @@ class Dispatcher {
 
   const DispatchConfig& config() const { return cfg_; }
   PlanStore& store() { return store_; }
+  /// The engine dispatch() executes on, with its worker pool.
+  ExecutionEngine& engine() { return engine_; }
 
  private:
   /// The modeled costs of one model that do not depend on arrivals,
@@ -167,8 +151,7 @@ class Dispatcher {
 
   /// The warm-time cost table of `model`; an Error if it was not warmed.
   const ModelCosts& costs(int model) const;
-  void exec_fused(FormedBatch& batch, const SloConfig& slo,
-                  DispatchResult& out);
+  void exec_fused(FormedBatch& batch, DispatchResult& out);
 
   PlanStore& store_;
   DispatchConfig cfg_;

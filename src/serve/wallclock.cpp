@@ -37,11 +37,6 @@ void sleep_ns(uint64_t ns) {
   std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
 }
 
-// Executor threads. One is enough for throughput (a dispatch already fans
-// out over the worker pool); the second keeps serving while an abandoned
-// straggler finishes dying.
-constexpr int kExecutors = 2;
-
 }  // namespace
 
 const char* to_string(ServeOutcome outcome) {
@@ -67,23 +62,12 @@ WallClockServer::WallClockServer(PlanStore& store,
                                  const DispatchConfig& dispatch_cfg,
                                  const WallClockConfig& cfg)
     : store_(store),
-      dispatch_cfg_(dispatch_cfg),
       cfg_(cfg),
-      epoch_(std::chrono::steady_clock::now()) {
+      epoch_(std::chrono::steady_clock::now()),
+      dispatcher_(store, dispatch_cfg) {
   DECIMATE_CHECK(cfg_.max_batch >= 1, "max_batch must be >= 1");
-  // One Dispatcher per executor: a Dispatcher (its ExecutionEngine and its
-  // copy of the warm-time cost tables) is single-caller by design;
-  // per-thread instances over the shared thread-safe PlanStore make the
-  // concurrency story trivial.
-  for (int i = 0; i < kExecutors; ++i) {
-    dispatchers_.push_back(
-        std::make_unique<Dispatcher>(store_, dispatch_cfg_));
-  }
-  // normalized fused sizes (sorted, containing 1)
-  dispatch_cfg_ = dispatchers_.front()->config();
-  for (int i = 0; i < kExecutors; ++i) {
-    executor_threads_.emplace_back([this, i] { executor_loop(i); });
-  }
+  // started after the check, so a refused config leaves no thread behind
+  executor_ = std::thread([this] { executor_loop(); });
 }
 
 WallClockServer::~WallClockServer() {
@@ -92,7 +76,7 @@ WallClockServer::~WallClockServer() {
     stop_ = true;
   }
   exec_cv_.notify_all();
-  for (std::thread& t : executor_threads_) t.join();
+  executor_.join();
 }
 
 uint64_t WallClockServer::now_ns() const {
@@ -104,19 +88,19 @@ uint64_t WallClockServer::now_ns() const {
 
 void WallClockServer::warm(int model) {
   trace::TraceScope span(trace::Cat::kServe, "wallclock.warm");
-  // mu_ is held throughout: the dispatchers' cost tables are read under
-  // it (and, once serving, lock-free by the executors), so warm() and
-  // serve() must not interleave
+  // mu_ is held throughout: the dispatcher's cost table is read under it
+  // (and, once serving, lock-free by the executor), so warm() and serve()
+  // must not interleave
   const std::lock_guard<std::mutex> lock(mu_);
   DECIMATE_CHECK(!serving_, "warm(" << model
                                     << ") after serve() started: warm every "
                                        "model before serving");
-  for (auto& d : dispatchers_) d->warm(model);
-  // Calibration: a timed one-image run_batch — the call an executor makes
-  // for a single request, on an engine configured like the executors' —
-  // seeds (or refreshes) the ns/cycle EWMA that translates modeled cycles
-  // into wall predictions. Two runs, keep the faster — the first pays
-  // cold caches.
+  dispatcher_.warm(model);
+  // Calibration: a timed one-image run_batch — the call the executor makes
+  // for a single request, on the engine and pool it serves with — seeds
+  // (or refreshes) the ns/cycle EWMA that translates modeled cycles into
+  // wall predictions. Two runs, keep the faster — the first pays cold
+  // caches (and starts the pool, so no request waits for it).
   const CompiledPlan& single = store_.plan(model, 1, 1);
   Rng rng(0x5eedULL + static_cast<uint64_t>(model));
   const Tensor8 input = Tensor8::random(store_.graph(model).node(0).out_shape,
@@ -124,7 +108,7 @@ void WallClockServer::warm(int model) {
   uint64_t best_ns = UINT64_MAX;
   for (int i = 0; i < 2; ++i) {
     const uint64_t t0 = now_ns();
-    recovery_engine_.run_batch(single, {&input, 1});
+    dispatcher_.engine().run_batch(single, {&input, 1});
     best_ns = std::min(best_ns, now_ns() - t0);
   }
   const double measured = static_cast<double>(best_ns) /
@@ -136,8 +120,8 @@ void WallClockServer::warm(int model) {
 
 uint64_t WallClockServer::modeled_cycles_for(int model, int batch) const {
   // the fused chunks the host executes, from the warm-time cost table
-  // (every dispatcher holds the same one; warm() writes them under mu_)
-  return dispatchers_.front()->fused_cycles(model, batch);
+  // (warm() writes it under mu_)
+  return dispatcher_.fused_cycles(model, batch);
 }
 
 uint64_t WallClockServer::predicted_exec_ns_locked(int model,
@@ -155,7 +139,8 @@ uint64_t WallClockServer::predicted_exec_ns(int model, int batch) const {
 
 double WallClockServer::sustained_img_per_s(int model) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const int b = dispatch_cfg_.fused_batches.back();  // largest fused size
+  // largest fused size
+  const int b = dispatcher_.config().fused_batches.back();
   const uint64_t ns = predicted_exec_ns_locked(model, b);
   return ns == 0 ? 0.0 : static_cast<double>(b) * 1e9 /
                              static_cast<double>(ns);
@@ -469,7 +454,7 @@ void WallClockServer::quarantine_model(int model) {
   metrics::registry().counter("serve.wall.quarantines").inc();
   trace::instant(trace::Cat::kServe, "wallclock.quarantine", 0,
                  trace::Flow::kNone, "model", model);
-  for (const int b : dispatch_cfg_.fused_batches) {
+  for (const int b : dispatcher_.config().fused_batches) {
     store_.quarantine(model, b, 1);
   }
 }
@@ -541,9 +526,10 @@ void WallClockServer::redispatch_per_image(std::vector<QueuedRequest>& batch,
   trace::TraceScope span(trace::Cat::kServe, "wallclock.redispatch");
   span.arg("batch", static_cast<int64_t>(batch.size()));
   reg.counter("serve.wall.redispatches").inc(batch.size());
-  // the per-image generalization of run_chunk_with_fallback: the whole
-  // batch failed as a unit, so each member re-runs alone on the serving
-  // thread's recovery engine (plan already compiled at warm)
+  // the whole batch failed as a unit, so each member re-runs alone on this
+  // thread (plan already compiled at warm). run() is serial and writes no
+  // engine state, so it is safe beside a straggler still inside the
+  // executor's run_batch on the same engine.
   const CompiledPlan& single = store_.plan(batch.front().req.model, 1, 1);
   for (QueuedRequest& qr : batch) {
     std::exception_ptr last;
@@ -558,7 +544,7 @@ void WallClockServer::redispatch_per_image(std::vector<QueuedRequest>& batch,
         }
         const uint64_t t0 = now_ns();
         fault::on_site(fault::Site::kDispatchExec);
-        out = recovery_engine_.run(single, qr.req.input).output;
+        out = dispatcher_.engine().run(single, qr.req.input).output;
         exec_ns = now_ns() - t0;
         ok = true;
       } catch (...) {
@@ -583,9 +569,8 @@ void WallClockServer::redispatch_per_image(std::vector<QueuedRequest>& batch,
   }
 }
 
-void WallClockServer::executor_loop(int idx) {
+void WallClockServer::executor_loop() {
   trace::set_thread_name("serve.executor");
-  Dispatcher& dispatcher = *dispatchers_[static_cast<size_t>(idx)];
   for (;;) {
     std::shared_ptr<Job> job;
     {
@@ -620,7 +605,7 @@ void WallClockServer::executor_loop(int idx) {
     try {
       trace::TraceScope exec_span(trace::Cat::kServe, "wallclock.exec");
       exec_span.arg("batch", static_cast<int64_t>(fb.requests.size()));
-      job->result = dispatcher.dispatch(std::move(fb), job->slo);
+      job->result = dispatcher_.dispatch(std::move(fb), job->slo);
     } catch (...) {
       job->error = std::current_exception();
     }

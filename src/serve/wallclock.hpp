@@ -5,7 +5,8 @@
 // Where serve_trace replays a deterministic modeled-cycle timeline, this
 // mode is a server: submit() is called from any thread at actual wall
 // times, deadlines are steady-clock nanoseconds, and batches execute on
-// the host kernels through per-executor Dispatchers. Determinism moves
+// the host kernels through one Dispatcher on one executor thread — one
+// ExecutionEngine, one worker pool, one cost table. Determinism moves
 // down a level — each served output is still bit-exact with a sequential
 // ExecutionEngine::run, but WHICH requests complete (vs shed/reject)
 // depends on real machine speed, which is the point.
@@ -20,7 +21,7 @@
 //      │
 //   serve() loop: forms the earliest-deadline same-model batch (size
 //   shrinks under brown-out), sheds entries whose deadline can no longer
-//   be met even if started now, and hands the batch to an executor
+//   be met even if started now, and hands the batch to the executor
 //   thread; the serving thread waits with a watchdog.
 //      │
 //   executor: Dispatcher::dispatch runs the batch as fused chunks on the
@@ -30,7 +31,7 @@
 //   calibrated ns/cycle. warm() seeds the calibration by timing that
 //   same one-image call, and every batch then adds its wall time divided
 //   by the modeled cycles of its fused chunks. All modeled cycles come
-//   from the Dispatchers' warm-time cost tables, so warm() every model
+//   from the Dispatcher's warm-time cost table, so warm() every model
 //   before serve() — a warm() after serve() has started throws.
 //
 // Fault-tolerance ladder, in escalation order:
@@ -40,8 +41,8 @@
 //     within max(watchdog_floor_ns, watchdog_factor x predicted), the job
 //     is abandoned (its cancel flag unsticks injected stalls; a late
 //     straggler result is discarded) and every request re-runs
-//     individually on the serving thread's recovery engine — the same
-//     generalization run_chunk_with_fallback applies to fused chunks.
+//     individually on the serving thread, through the serial
+//     ExecutionEngine::run of the dispatcher's engine.
 //  3. quarantine: quarantine_after consecutive batch failures for a model
 //     quarantines its plan fingerprints in the PlanStore (references stay
 //     valid; next use compiles fresh, bypassing the registry) and the
@@ -51,6 +52,14 @@
 //     (twice that depth) quarters it, level 3 (three times) additionally
 //     sheds every queued request that could not finish even if started
 //     immediately.
+//
+// A real straggler (one that does not end at its cancel flag) keeps the
+// single executor busy: a batch dispatched meanwhile waits behind it, and
+// if the straggler outlives that batch's watchdog too, the batch is
+// redispatched image by image on the serving thread like any timed-out
+// batch. In steady state the server runs as many threads as there are
+// cores (the executor plus its pool); the serving thread adds one more
+// only while it redispatches.
 //
 // Every terminal outcome is typed (ServeOutcome + ServeReason); nothing
 // is silently dropped, nothing blocks forever. Metrics live under
@@ -144,20 +153,21 @@ struct WallServed {
 
 class WallClockServer {
  public:
-  /// Executors get their own Dispatchers over `store` (Dispatcher is
-  /// single-caller by design; per-thread instances make the concurrency
-  /// story trivial), plus one recovery engine for per-image redispatch on
-  /// the serving thread.
+  /// One Dispatcher over `store`, and the executor thread that runs its
+  /// dispatches. warm() fills the Dispatcher's cost table before serving
+  /// starts; the serving thread's per-image redispatch uses only its
+  /// engine's thread-safe run().
   WallClockServer(PlanStore& store, const DispatchConfig& dispatch_cfg,
                   const WallClockConfig& cfg);
   ~WallClockServer();
   WallClockServer(const WallClockServer&) = delete;
   WallClockServer& operator=(const WallClockServer&) = delete;
 
-  /// Compile every plan serving can request for `model` and fill every
-  /// executor's Dispatcher cost table, then time one calibration
-  /// inference — a one-image run_batch, the call an executor makes — to
-  /// seed the ns/cycle EWMA, and record the model's input shape. Must run
+  /// Compile every plan serving can request for `model` and fill the
+  /// Dispatcher's cost table, then time one calibration inference — a
+  /// one-image run_batch on the executor's engine, the call the executor
+  /// makes — to seed the ns/cycle EWMA (starting the engine's worker pool
+  /// if the image splits), and record the model's input shape. Must run
   /// before serve(): once serve() has started, warm() throws an Error
   /// (the check and serve()'s start are under one mutex, so the two never
   /// interleave).
@@ -209,7 +219,7 @@ class WallClockServer {
     uint64_t end_ns = 0;
   };
 
-  void executor_loop(int idx);
+  void executor_loop();
   void run_batch_with_recovery(std::vector<QueuedRequest> batch);
   void redispatch_per_image(std::vector<QueuedRequest>& batch,
                             uint64_t first_dispatch_ns, int retries_used);
@@ -221,7 +231,7 @@ class WallClockServer {
                        ServeReason reason, const std::string& detail,
                        uint64_t dispatch_ns);
   /// Modeled cycles of the fused chunks a batch runs as, read from the
-  /// Dispatchers' warm-time cost table; mu_ held.
+  /// Dispatcher's warm-time cost table; mu_ held.
   uint64_t modeled_cycles_for(int model, int batch) const;
   uint64_t predicted_exec_ns_locked(int model, int batch) const;
   void update_brownout_locked(size_t depth);
@@ -229,9 +239,11 @@ class WallClockServer {
   void quarantine_model(int model);
 
   PlanStore& store_;
-  DispatchConfig dispatch_cfg_;
   WallClockConfig cfg_;
   std::chrono::steady_clock::time_point epoch_;
+  // every fused chunk, warm()'s calibration and the per-image redispatch
+  // execute on its one engine and worker pool
+  Dispatcher dispatcher_;
 
   // serving state (mu_): queue, reports, calibration, brown-out
   mutable std::mutex mu_;
@@ -251,11 +263,9 @@ class WallClockServer {
   std::condition_variable exec_cv_;
   std::deque<std::shared_ptr<Job>> jobs_;
   bool stop_ = false;
-  std::vector<std::unique_ptr<Dispatcher>> dispatchers_;
-  std::vector<std::thread> executor_threads_;
 
-  // per-image redispatch on the serving thread (never contended)
-  ExecutionEngine recovery_engine_;
+  // declared (and started) last: it uses every member above
+  std::thread executor_;
 };
 
 }  // namespace decimate

@@ -217,11 +217,14 @@ class PlanVerifier {
 
     const int batch = step.batch_fused ? std::max(1, plan_.options.batch) : 1;
     check_gemm_tiles(step, g.oy(), g.k, g.ox(), batch);
-    // conv tile input windows must stay inside the padded input extent
+    // conv tile input windows must stay inside the padded input extent;
+    // 64-bit, because tile rows are artifact bytes and an out-of-bounds
+    // pair (already a tiles.bounds finding) must not overflow
     for (const ShardTile& t : step.tiles_meta) {
-      const int len = t.a_e - t.a_s;
+      const int64_t len = int64_t{t.a_e} - t.a_s;
       if (len <= 0) continue;
-      if (!require((len - 1) * g.stride + g.fy <= g.iy + 2 * g.pad,
+      if (!require((len - 1) * g.stride + g.fy <=
+                       int64_t{g.iy} + 2 * int64_t{g.pad},
                    "mem.window", step.node_id,
                    "tile rows [" + str(t.a_s) + ", " + str(t.a_e) +
                        ") need an input window taller than the padded "

@@ -4,8 +4,9 @@
 // host kernel bindings field for field, and reproduce the shard
 // schedule, artifact bytes that depend only on graph and options, the
 // admission gate (truncation, bit flips, version skew, forged
-// fingerprints, out-of-range enum values, edited counts, and a seeded
-// sweep of re-sealed single-byte edits over every section), concurrent
+// fingerprints, out-of-range enum values, edited counts, and seeded
+// sweeps of re-sealed single-byte edits, 32-bit boundary words and
+// shrunk section sizes over every section), concurrent
 // loads, graph ownership of loaded plans, and the PlanStore registry
 // tier's zero-compile / zero-ISS cold start, its fallback on a bad or
 // misfiled artifact, and the absence of any state a rejected artifact
@@ -340,10 +341,18 @@ struct Corruptible {
       bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
     }
   }
+  void put_u64(size_t at, uint64_t v) {
+    for (size_t i = 0; i < 8; ++i) {
+      bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+  /// File offset of section `id`, from its table entry.
+  size_t offset(size_t id) const {
+    return static_cast<size_t>(get_u64(entry(id) + 1));
+  }
   std::span<const uint8_t> section(size_t id) const {
     return std::span<const uint8_t>(bytes).subspan(
-        static_cast<size_t>(get_u64(entry(id) + 1)),
-        static_cast<size_t>(get_u64(entry(id) + 9)));
+        offset(id), static_cast<size_t>(get_u64(entry(id) + 9)));
   }
 
   /// File offset of the first `pattern` inside section `id` (0 when
@@ -613,12 +622,16 @@ std::string edit_verdict(const std::vector<uint8_t>& bytes,
   }
 }
 
-TEST(PlanArtifact, SeededSectionEditsAreRefusedOrExact) {
-  // 300 seeded single-byte edits per section, each re-sealed (section and
-  // header CRC) so only the loader's own checks can catch it: every edit
-  // must be refused or run bit-exact with the unedited plan. A failure
-  // prints what reproduces it, to be minimized into a named regression.
-  constexpr int kEditsPerSection = 300;
+/// Edits a copy of a clean artifact in section `id` (the `i`-th edit of
+/// its kind) and re-seals it; returns what it did, for a failure message.
+using SectionEdit = std::function<std::string(Corruptible&, size_t id, int i)>;
+
+/// Applies `edits` edits per section to both sweep plans, the FFN 1:4
+/// plan and a one-layer 1:8 sparse conv. Every edit is re-sealed (section
+/// and header CRC) so only the loader's own checks can catch it, and must
+/// be refused or run bit-exact with the unedited plan. A failure prints
+/// what reproduces it, to be minimized into a named regression.
+void sweep_section_edits(int edits, const SectionEdit& edit) {
   const char* const kSectionName[] = {"graph", "plan", "weights"};
   const Graph ffn = ffn_1_4();
   const Graph conv = single_sparse_conv();
@@ -629,34 +642,75 @@ TEST(PlanArtifact, SeededSectionEditsAreRefusedOrExact) {
     const Tensor8 expect = ExecutionEngine().run(plan, input).output;
     const Corruptible clean(plan);
     for (size_t id = 0; id < Corruptible::kSections; ++id) {
-      const size_t base =
-          static_cast<size_t>(clean.section(id).data() - clean.bytes.data());
-      const size_t size = clean.section(id).size();
-      ASSERT_GT(size, 0u);
+      ASSERT_GT(clean.section(id).size(), 64u);
       int refused_or_exact = 0;
-      for (int i = 0; i < kEditsPerSection; ++i) {
-        const uint64_t seed = 1000 * id + static_cast<uint64_t>(i);
-        Rng rng(seed);
-        const size_t at =
-            base + static_cast<size_t>(rng.next_u32() % size);
+      for (int i = 0; i < edits; ++i) {
         Corruptible a = clean;
-        const uint8_t old_byte = a.bytes[at];
-        a.bytes[at] ^= static_cast<uint8_t>(rng.uniform_int(1, 255));
-        a.reseal(id);
+        const std::string what = edit(a, id, i);
         const std::string verdict = edit_verdict(a.bytes, input, expect);
         if (verdict.empty()) {
           ++refused_or_exact;
           continue;
         }
-        ADD_FAILURE() << model << ", seed " << seed << ", " << kSectionName[id]
-                      << " section offset " << at - base << ": byte "
-                      << static_cast<int>(old_byte) << " -> "
-                      << static_cast<int>(a.bytes[at]) << ": " << verdict;
+        ADD_FAILURE() << model << ", " << kSectionName[id] << " section, "
+                      << what << ": " << verdict;
       }
-      EXPECT_EQ(refused_or_exact, kEditsPerSection)
+      EXPECT_EQ(refused_or_exact, edits)
           << model << ", " << kSectionName[id] << " section";
     }
   }
+}
+
+TEST(PlanArtifact, SeededSectionEditsAreRefusedOrExact) {
+  // 300 seeded single-byte edits per section
+  sweep_section_edits(300, [](Corruptible& a, size_t id, int i) {
+    const uint64_t seed = 1000 * id + static_cast<uint64_t>(i);
+    Rng rng(seed);
+    const size_t at = rng.next_u32() % a.section(id).size();
+    uint8_t& byte = a.bytes[a.offset(id) + at];
+    const int old_byte = byte;
+    byte ^= static_cast<uint8_t>(rng.uniform_int(1, 255));
+    const int new_byte = byte;
+    a.reseal(id);
+    return "seed " + std::to_string(seed) + ", offset " + std::to_string(at) +
+           ": byte " + std::to_string(old_byte) + " -> " +
+           std::to_string(new_byte);
+  });
+}
+
+TEST(PlanArtifact, SeededBoundaryWordsAreRefusedOrExact) {
+  // each 32-bit boundary word written (little-endian) at the same 100
+  // seeded offsets per section: counts, sizes, dims and offsets at the
+  // edges of their ranges
+  constexpr uint32_t kWords[] = {0,          1,          0x7fffffff,
+                                 0x80000000, 0xffffffff, 0xffff,
+                                 0x10000};
+  constexpr int kNumWords = static_cast<int>(std::size(kWords));
+  constexpr int kOffsets = 100;
+  const auto write_word = [&](Corruptible& a, size_t id, int i) {
+    const uint64_t seed =
+        100000 + 1000 * id + static_cast<uint64_t>(i / kNumWords);
+    const uint32_t word = kWords[i % kNumWords];
+    Rng rng(seed);
+    const size_t at = rng.next_u32() % (a.section(id).size() - 3);
+    a.put_u32(a.offset(id) + at, word);
+    a.reseal(id);
+    return "seed " + std::to_string(seed) + ", offset " + std::to_string(at) +
+           ": word " + std::to_string(word);
+  };
+  sweep_section_edits(kOffsets * kNumWords, write_word);
+}
+
+TEST(PlanArtifact, SectionTruncationsAreRefusedOrExact) {
+  // each section's size field shrunk by 1-64 bytes and the section CRC
+  // re-sealed over what is left: the section ends early while the file
+  // and every other section stay as they were
+  sweep_section_edits(64, [](Corruptible& a, size_t id, int i) {
+    const size_t cut = static_cast<size_t>(i) + 1;
+    a.put_u64(Corruptible::entry(id) + 9, a.section(id).size() - cut);
+    a.reseal(id);
+    return "size shrunk by " + std::to_string(cut) + " bytes";
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@
 // while the host runs fused chunks, oversize batches splitting into fused
 // chunks, mixed ResNet18/ViT-FFN request streams keyed to different plans,
 // PlanStore compile-once behavior, no graph hashing on any dispatch after
-// warm-up (serve_trace and WallClockServer), the structured run_batch
-// mismatch error, and — everywhere — bit-exactness of every served output
-// against a sequential ExecutionEngine::run.
+// warm-up (serve_trace and WallClockServer), run_batch refusing a span
+// its fused plan was not compiled for, and — everywhere — bit-exactness
+// of every served output against a sequential ExecutionEngine::run.
 
 #include <gtest/gtest.h>
 
@@ -502,9 +502,11 @@ TEST(Serve, PlanFingerprintFromMatchesPlanFingerprint) {
             plan_fingerprint(g, opt));
 }
 
-// --- structured batch-mismatch error ----------------------------------------
+// --- fused-batch size check --------------------------------------------------
 
-TEST(Serve, RunBatchMismatchCarriesStructuredSizes) {
+TEST(Serve, RunBatchRefusesASpanOfAnotherSize) {
+  // a plan fused for 4 images serves exactly 4: any other span would
+  // stamp a mismatched cycle report, so run_batch refuses it
   const Graph g = small_ffn();
   CompileOptions opt = isa_options();
   opt.batch = 4;
@@ -516,94 +518,9 @@ TEST(Serve, RunBatchMismatchCarriesStructuredSizes) {
   for (int i = 0; i < 3; ++i) {
     three.push_back(Tensor8::random(input_shape(g), rng));
   }
-  try {
-    engine.run_batch(plan, three);
-    FAIL() << "mismatched span must throw";
-  } catch (const BatchMismatchError& e) {
-    EXPECT_EQ(e.fused_batch(), 4);
-    EXPECT_EQ(e.got(), 3);
-  }
-  // still an Error for callers that do not care about the structure
   EXPECT_THROW(engine.run_batch(plan, three), Error);
-}
-
-TEST(Serve, DispatcherChunkFallbackRecoversFromMismatchedPlan) {
-  // the dispatcher's recovery path, driven directly: a chunk plan fused
-  // for 4 images handed a 3-image span must fall back to per-image runs
-  // on the unfused plan, bit-exactly, reporting group_size 1
-  const Graph g = small_ffn();
-  CompileOptions fopt = isa_options();
-  fopt.batch = 4;
-  Compiler fused_compiler(fopt);
-  const CompiledPlan fused = fused_compiler.compile(g);
-  Compiler single_compiler(isa_options(), fused_compiler.shared_latencies());
-  const CompiledPlan single = single_compiler.compile(g);
-
-  ExecutionEngine engine;
-  Rng rng(67);
-  std::vector<Tensor8> three;
-  for (int i = 0; i < 3; ++i) {
-    three.push_back(Tensor8::random(input_shape(g), rng));
-  }
-  int group = 0;
-  std::vector<uint64_t> offsets;
-  const auto outputs = Dispatcher::run_chunk_with_fallback(
-      engine, fused, single, three, group, offsets);
-  EXPECT_EQ(group, 1);
-  const uint64_t single_cycles =
-      ExecutionEngine::modeled_batch_cycles(single, 1);
-  ASSERT_EQ(offsets.size(), 3u);
-  for (size_t i = 0; i < offsets.size(); ++i) {
-    EXPECT_EQ(offsets[i], (i + 1) * single_cycles)
-        << "fallback images complete serially, not at the chunk end";
-  }
-  ASSERT_EQ(outputs.size(), 3u);
-  for (size_t i = 0; i < outputs.size(); ++i) {
-    EXPECT_TRUE(outputs[i] == engine.run(single, three[i]).output)
-        << "image " << i;
-  }
-
-  // a matching span takes the fused path and reports the chunk size
   three.push_back(Tensor8::random(input_shape(g), rng));
-  const auto four = Dispatcher::run_chunk_with_fallback(
-      engine, fused, single, three, group, offsets);
-  EXPECT_EQ(group, 4);
-  ASSERT_EQ(offsets.size(), 4u);
-  EXPECT_EQ(offsets.back(), ExecutionEngine::modeled_batch_cycles(fused, 4));
-  EXPECT_EQ(four.size(), 4u);
-}
-
-TEST(Serve, ChunkFallbackIsCountedAndOnlyWhenItFires) {
-  // ops visibility for the recovery path: every mismatch fallback bumps
-  // serve.fallbacks (and emits a kServe span); the fused fast path does not
-  const Graph g = small_ffn();
-  CompileOptions fopt = isa_options();
-  fopt.batch = 2;
-  Compiler fused_compiler(fopt);
-  const CompiledPlan fused = fused_compiler.compile(g);
-  Compiler single_compiler(isa_options(), fused_compiler.shared_latencies());
-  const CompiledPlan single = single_compiler.compile(g);
-
-  ExecutionEngine engine;
-  Rng rng(68);
-  std::vector<Tensor8> inputs;
-  inputs.push_back(Tensor8::random(input_shape(g), rng));
-
-  auto& fallbacks = metrics::registry().counter("serve.fallbacks");
-  const uint64_t before = fallbacks.value();
-  int group = 0;
-  std::vector<uint64_t> offsets;
-  Dispatcher::run_chunk_with_fallback(engine, fused, single, inputs, group,
-                                      offsets);
-  EXPECT_EQ(group, 1);
-  EXPECT_EQ(fallbacks.value(), before + 1);
-
-  // matching span: fused path, counter untouched
-  inputs.push_back(Tensor8::random(input_shape(g), rng));
-  Dispatcher::run_chunk_with_fallback(engine, fused, single, inputs, group,
-                                      offsets);
-  EXPECT_EQ(group, 2);
-  EXPECT_EQ(fallbacks.value(), before + 1);
+  EXPECT_EQ(engine.run_batch(plan, three).batch_size(), 4);
 }
 
 // --- batcher unit behavior ---------------------------------------------------

@@ -194,12 +194,22 @@ TEST_F(VerifyTiles, ShrunkTileIsGap) {
 }
 
 TEST_F(VerifyTiles, TileOutsideOutputIsBounds) {
-  CompiledPlan p = plan_;
-  p.steps[0].tiles_meta[0].a_e = graph_.node(1).conv.oy() + 7;
-  const VerifyReport rep = verify_plan(p);
-  EXPECT_TRUE(rep.has("tiles.bounds")) << rep.to_string();
-  // ... and the implied input window no longer fits the padded input
-  EXPECT_TRUE(rep.has("mem.window")) << rep.to_string();
+  // rows past the output, and row bounds at the int limits an edited
+  // artifact can carry (the window arithmetic must not overflow on them)
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const ShardTile first = plan_.steps[0].tiles_meta[0];
+  const int past = graph_.node(1).conv.oy() + 7;
+  for (const auto& [a_s, a_e] : std::vector<std::pair<int, int>>{
+           {first.a_s, past}, {0, kMax}, {kMin, first.a_e}, {kMin, kMax}}) {
+    CompiledPlan p = plan_;
+    p.steps[0].tiles_meta[0].a_s = a_s;
+    p.steps[0].tiles_meta[0].a_e = a_e;
+    const VerifyReport rep = verify_plan(p);
+    EXPECT_TRUE(rep.has("tiles.bounds")) << rep.to_string();
+    // ... and the implied input window no longer fits the padded input
+    EXPECT_TRUE(rep.has("mem.window")) << rep.to_string();
+  }
 }
 
 TEST_F(VerifyTiles, MetaNotParallelToCostsIsCount) {

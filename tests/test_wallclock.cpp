@@ -3,7 +3,8 @@
 // decision, the ns -> cycle budget translation, and the WallClockServer
 // end to end — a 4-thread bit-exact smoke (the TSan target), warm()
 // refused once serve() runs (on a model whose one-image batches split
-// over the executor's pool), prediction error against the pre-dispatch
+// over the executor's pool), one worker pool started at warm() and
+// served on, prediction error against the pre-dispatch
 // prediction, reject-at-admission, a malformed request (wrong input
 // shape, unknown model) rejected on its own, a deadline too long for
 // the clock, shed-under-burst, and every rung of the fault-tolerance
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -277,7 +279,7 @@ TEST(WallClock, CycleBudgetClampsBeyondTheCycleRange) {
 // --- WallClockServer: happy path --------------------------------------------
 
 /// The TSan smoke: 4 submitter threads race submit() against the serving
-/// loop and two executor threads; every request completes bit-exactly.
+/// loop and the executor thread; every request completes bit-exactly.
 TEST(WallClock, ServesConcurrentSubmittersBitExact) {
   PlanStore store(isa_options(), shared_test_cache());
   const Graph g = small_ffn();
@@ -340,7 +342,7 @@ TEST(WallClock, ServesConcurrentSubmittersBitExact) {
 }
 
 TEST(WallClock, WarmAfterServeHasStartedThrows) {
-  // warm() writes the cost tables the executors read while serving, so
+  // warm() writes the cost table the executor reads while serving, so
   // once serve() runs a warm() is refused with an Error — and the model
   // already being served keeps completing bit-exactly
   PlanStore store(isa_options(), shared_test_cache());
@@ -403,6 +405,46 @@ TEST(WallClock, WarmAfterServeHasStartedThrows) {
                     .output)
         << "request " << w.id << " output differs from sequential run";
   }
+}
+
+TEST(WallClock, ServesOnOnePoolStartedAtWarm) {
+  // warm()'s calibration is a one-image run_batch on the executor's
+  // engine, and split_ffn's image splits, so the one worker pool the
+  // server serves on starts there; one- and two-image batches then run
+  // on that pool and start no other
+  PlanStore store(isa_options(), shared_test_cache());
+  const Graph g = split_ffn();
+  const int m = store.add_model(g);
+
+  WallClockConfig cfg;
+  cfg.max_batch = 2;
+  cfg.watchdog_floor_ns = 30'000'000'000;  // a slow host must not redispatch
+  auto& started = metrics::registry().counter("exec.pool.threads_started");
+  const uint64_t before = started.value();
+  WallClockServer server(store, DispatchConfig{1, {1, 2}}, cfg);
+  server.warm(m);
+  // the caller joins every pool job, so a full pool has one thread fewer
+  // than the machine
+  const uint64_t pool_threads =
+      std::max(1u, std::thread::hardware_concurrency()) - 1;
+  EXPECT_EQ(started.value(), before + pool_threads);
+
+  Rng rng(47);
+  for (uint64_t id = 0; id < 5; ++id) {
+    server.submit(request(id, m, Tensor8::random(input_shape(g), rng)));
+  }
+  server.close();
+  const auto done = server.serve();
+
+  ASSERT_EQ(done.size(), 5u);
+  std::map<int, int> images_by_group;
+  for (const WallServed& w : done) {
+    ASSERT_EQ(w.outcome, ServeOutcome::kOk) << w.detail;
+    ++images_by_group[w.group_size];
+  }
+  EXPECT_EQ(images_by_group, (std::map<int, int>{{1, 1}, {2, 4}}));
+  EXPECT_EQ(started.value(), before + pool_threads)
+      << "serving started a worker pool besides warm()'s";
 }
 
 TEST(WallClock, PredictionErrorUsesThePreDispatchPrediction) {
