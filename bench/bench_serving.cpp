@@ -369,7 +369,7 @@ WallReport run_wall_sweep(PlanStore& store, int model,
     WallClockServer probe(store, dcfg, wcfg);
     probe.warm(model);
     report.sustained_ips = probe.sustained_img_per_s(model);
-    report.ns_per_cycle = probe.ns_per_cycle();
+    report.ns_per_cycle = probe.ns_per_cycle(model);
   }
   if (faults) {
     fault::FaultInjector::install(nullptr);

@@ -24,7 +24,8 @@
 //                 so outputs are bit-identical in any order).
 //  - kAvx512Vnni: vpdpbusd u8 x s8 dot products with the +128 bias
 //                 correction (acc = sum((x+128) w) - 128 sum(w), exact mod
-//                 2^32).
+//                 2^32); the sparse instances feed it four non-zeros of a
+//                 row per instruction, 64 MACs over the 16 lanes.
 //
 // The SIMD translation units are compiled with their ISA flags only when
 // the toolchain supports them (CMake gates DECIMATE_HAVE_*_TU) and their

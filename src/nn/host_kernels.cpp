@@ -146,6 +146,11 @@ const hostk::Instance kInstances[] = {
     {{"conv-dense-scalar", HostImpl::kDenseConv, kIsaScalar, "always", 4},
      fits_always_conv, nullptr, run_conv_dense_scalar, nullptr},
 
+#if defined(DECIMATE_HAVE_AVX512_TU)
+    {{"conv-nm-im2col16-vnni", HostImpl::kSparseConv, HostIsa::kAvx512Vnni,
+      "always", 16},
+     fits_always_conv, nullptr, hostk::conv_nm_vnni, nullptr},
+#endif
 #if defined(DECIMATE_HAVE_AVX2_TU)
     {{"conv-nm-im2col16-avx2", HostImpl::kSparseConv, HostIsa::kAvx2,
       "always", 16},
@@ -167,6 +172,11 @@ const hostk::Instance kInstances[] = {
     {{"fc-dense-scalar", HostImpl::kDenseFc, kIsaScalar, "always", 4},
      nullptr, fits_always_fc, nullptr, run_fc_dense_scalar},
 
+#if defined(DECIMATE_HAVE_AVX512_TU)
+    {{"fc-nm-tok16-vnni", HostImpl::kSparseFc, HostIsa::kAvx512Vnni,
+      "tokens >= 8", 16},
+     nullptr, fc_nm_tokens8, nullptr, hostk::fc_nm_vnni},
+#endif
 #if defined(DECIMATE_HAVE_AVX2_TU)
     {{"fc-nm-tok16-avx2", HostImpl::kSparseFc, HostIsa::kAvx2,
       "tokens >= 8", 16},
@@ -225,13 +235,15 @@ int select_fc_instance(HostImpl family, int tokens, int c, int k, int m) {
 }
 
 /// Decode the packed non-zeros of every row into the shared gather plan:
-/// row_start CSR, dense column (j * M + offset) and value. Stored zero
-/// values are dropped — they contribute nothing.
+/// row_start CSR, dense column (j * M + offset), value and the row's value
+/// sum. Stored zero values are dropped — they contribute nothing.
 void build_gather(const NmPacked& packed, HostKernelDispatch& d) {
   d.row_start.assign(static_cast<size_t>(packed.rows) + 1, 0);
+  d.row_sum.assign(static_cast<size_t>(packed.rows), 0);
   d.col.reserve(static_cast<size_t>(packed.rows) * packed.nz_per_row);
   d.val.reserve(d.col.capacity());
   for (int r = 0; r < packed.rows; ++r) {
+    int32_t sum = 0;
     for (int j = 0; j < packed.nz_per_row; ++j) {
       const int8_t v =
           packed.values[static_cast<size_t>(r) * packed.values_row_bytes +
@@ -240,9 +252,11 @@ void build_gather(const NmPacked& packed, HostKernelDispatch& d) {
       d.col.push_back(
           static_cast<uint16_t>(j * packed.m + packed.offset_at(r, j)));
       d.val.push_back(v);
+      sum += v;
     }
     d.row_start[static_cast<size_t>(r) + 1] =
         static_cast<int32_t>(d.val.size());
+    d.row_sum[static_cast<size_t>(r)] = sum;
   }
 }
 

@@ -72,6 +72,10 @@ struct HostKernelDispatch {
   SharedBuf<int32_t> row_start;
   SharedBuf<uint16_t> col;
   SharedBuf<int8_t> val;  // non-zero values, parallel to col
+  // Per output channel, the sum of its non-zero values: the VNNI
+  // instances feed vpdpbusd activations biased by +128 and start each
+  // row's accumulator at bias - 128 * row_sum to cancel it exactly.
+  SharedBuf<int32_t> row_sum;
 
   bool sparse() const {
     return impl == HostImpl::kSparseConv || impl == HostImpl::kSparseFc;

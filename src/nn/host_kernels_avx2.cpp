@@ -25,7 +25,7 @@
 
 #include <immintrin.h>
 
-#include "nn/host_kernels_impl.hpp"
+#include "nn/host_kernels_simd.hpp"
 
 namespace decimate {
 namespace hostk {
@@ -81,79 +81,6 @@ struct Acc16 {
     for (int i = 0; i < n; ++i) out[i * stride] = rq.apply(tmp[i]);
   }
 };
-
-/// In-place 16x16 byte transpose: byte j of r[i] moves to byte i of r[j].
-/// Each round rotates every element's 8-bit (register, byte) address left
-/// by one bit; four rounds swap the register and byte halves.
-inline void transpose16x16(__m128i r[16]) {
-  for (int round = 0; round < 4; ++round) {
-    __m128i t[16];
-    for (int j = 0; j < 8; ++j) {
-      t[2 * j] = _mm_unpacklo_epi8(r[j], r[j + 8]);
-      t[2 * j + 1] = _mm_unpackhi_epi8(r[j], r[j + 8]);
-    }
-    for (int j = 0; j < 16; ++j) r[j] = t[j];
-  }
-}
-
-/// im2col_block at 16 lanes. With C % 16 == 0 every (tap, 16-channel
-/// group) is one transpose of 16 pixel rows, a padded tap reading the
-/// zero row `zeros` (>= C bytes); other channel counts take the scalar
-/// fill.
-inline void im2col16(const int8_t* in0, const ConvGeom& g, int q0, int n,
-                     const int8_t* zeros, int8_t* buf) {
-  if (g.c % 16 != 0) {
-    im2col_block(in0, g, q0, n, 16, buf);
-    return;
-  }
-  const int ox = g.ox();
-  int iy0[16], ix0[16];
-  for (int p = 0; p < 16; ++p) {
-    const int q = q0 + std::min(p, n - 1);
-    iy0[p] = (q / ox) * g.stride - g.pad;
-    ix0[p] = (q % ox) * g.stride - g.pad;
-  }
-  for (int fy = 0; fy < g.fy; ++fy) {
-    for (int fx = 0; fx < g.fx; ++fx) {
-      const int8_t* src[16];
-      for (int p = 0; p < 16; ++p) {
-        const int iy = iy0[p] + fy, ix = ix0[p] + fx;
-        src[p] = (iy < 0 || iy >= g.iy || ix < 0 || ix >= g.ix)
-                     ? zeros
-                     : in0 + (static_cast<int64_t>(iy) * g.ix + ix) * g.c;
-      }
-      int8_t* dst = buf + static_cast<int64_t>(fy * g.fx + fx) * g.c * 16;
-      for (int ch = 0; ch < g.c; ch += 16) {
-        __m128i r[16];
-        for (int p = 0; p < 16; ++p) {
-          r[p] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src[p] + ch));
-        }
-        transpose16x16(r);
-        for (int i = 0; i < 16; ++i) {
-          _mm_store_si128(reinterpret_cast<__m128i*>(dst + (ch + i) * 16),
-                          r[i]);
-        }
-      }
-    }
-  }
-}
-
-/// Walk the flattened output pixels of rows [oy_s, oy_e) in blocks of
-/// 16: im2col each block, then hand it to `rows(buf, n, out_block)` with
-/// n valid lanes, out_block pointing at the block's first output pixel.
-template <typename RowsFn>
-void conv_blocks16(const Tensor8& input, const ConvGeom& g, int oy_s,
-                   int oy_e, Tensor8& out, RowsFn&& rows) {
-  const int q_e = oy_e * g.ox();
-  const size_t block = static_cast<size_t>(g.fsz()) * 16;
-  // the block buffer, then a zero row of C bytes for padded taps
-  AlignedVec<int8_t> buf(block + static_cast<size_t>(g.c));
-  for (int q = oy_s * g.ox(); q < q_e; q += 16) {
-    const int n = std::min(16, q_e - q);
-    im2col16(input.data(), g, q, n, buf.data() + block, buf.data());
-    rows(buf.data(), n, out.data() + static_cast<int64_t>(q) * g.k);
-  }
-}
 
 /// The N:M row loop both sparse families share: for each output channel
 /// k in [k_s, k_e), one broadcast multiply per non-zero of row k against
@@ -282,17 +209,17 @@ void conv_dense_im2col_avx2(const HostKernelDispatch&, const Tensor8& input,
   if (k_s >= k_e) return;
   const int fsz = g.fsz();
   const int8_t* w0 = weights.data();
-  conv_blocks16(input, g, oy_s, oy_e, out,
-                [&](const int8_t* buf, int n, int8_t* oblk) {
-                  for (int k = k_s; k < k_e; ++k) {
-                    const int8_t* wrow = w0 + static_cast<int64_t>(k) * fsz;
-                    Acc16 acc(bias[k]);
-                    for (int j = 0; j < fsz; ++j) {
-                      acc.mac(buf + static_cast<size_t>(j) * 16, wrow[j]);
-                    }
-                    acc.store(rq, oblk + k, g.k, n);
-                  }
-                });
+  pixel_blocks16(input, g, oy_s * g.ox(), oy_e * g.ox(), 0, out,
+                 [&](const int8_t* buf, int n, int8_t* oblk) {
+                   for (int k = k_s; k < k_e; ++k) {
+                     const int8_t* wrow = w0 + static_cast<int64_t>(k) * fsz;
+                     Acc16 acc(bias[k]);
+                     for (int j = 0; j < fsz; ++j) {
+                       acc.mac(buf + static_cast<size_t>(j) * 16, wrow[j]);
+                     }
+                     acc.store(rq, oblk + k, g.k, n);
+                   }
+                 });
 }
 
 void conv_nm_avx2(const HostKernelDispatch& d, const Tensor8& input,
@@ -302,10 +229,10 @@ void conv_nm_avx2(const HostKernelDispatch& d, const Tensor8& input,
   // the gather plan replaces the dense weights; every geometry runs the
   // same im2col block + row loop (padding is zeros in the block)
   if (k_s >= k_e) return;
-  conv_blocks16(input, g, oy_s, oy_e, out,
-                [&](const int8_t* buf, int n, int8_t* oblk) {
-                  nm_rows16(d, buf, bias, rq, k_s, k_e, n, oblk, g.k);
-                });
+  pixel_blocks16(input, g, oy_s * g.ox(), oy_e * g.ox(), 0, out,
+                 [&](const int8_t* buf, int n, int8_t* oblk) {
+                   nm_rows16(d, buf, bias, rq, k_s, k_e, n, oblk, g.k);
+                 });
 }
 
 void fc_dense_avx2(const HostKernelDispatch&, const Tensor8& input,

@@ -3,16 +3,25 @@
 // vpdpbusd multiplies unsigned bytes by signed bytes and accumulates the
 // int32 lane sums WITHOUT saturation (unlike vpdpbusds), so it preserves
 // the wrap-mod-2^32 accumulation contract. Our activations are signed,
-// so each chunk is biased into u8 with a XOR 0x80 (a + 128 as u8) and
+// so they are biased into u8 with a XOR 0x80 (a + 128 as u8) and
 // corrected exactly:
 //
 //   sum((a+128) * w) = sum(a*w) + 128 * sum(w)   (mod 2^32)
 //
-// The correction term sum(w) is accumulated in the same loop with a
-// second vpdpbusd against an all-ones u8 vector, and the combine is done
-// in uint32 arithmetic, so the final accumulator equals the scalar
-// reference bit for bit. Horizontal reduction (_mm512_reduce_add_epi32)
-// only reorders int32 additions — order-free modulo 2^32.
+// The dense instances accumulate the correction term sum(w) in the same
+// loop with a second vpdpbusd against an all-ones u8 vector; the sparse
+// instances start each row's accumulator at bias - 128 * sum(w), from the
+// row sum the gather plan stores. Every combine is done in uint32
+// arithmetic, so the final accumulator equals the scalar reference bit
+// for bit. Horizontal reduction (_mm512_reduce_add_epi32) only reorders
+// int32 additions — order-free modulo 2^32.
+//
+// The sparse instances are pixel-major like their AVX2 counterparts: 16
+// output pixels (or tokens) fill a [cols][16] block, biased to u8 as it
+// is filled, and each vpdpbusd takes four non-zeros of a row at once —
+// their four block rows transposed so that every int32 lane holds its
+// pixel's four activations, against the four weights broadcast as one
+// 32-bit word: 64 MACs per instruction.
 //
 // Compiled with -mavx512f -mavx512bw -mavx512vl -mavx512vnni (CMake:
 // DECIMATE_HAVE_AVX512_TU); selected/forced only after CPUID reports all
@@ -20,7 +29,9 @@
 
 #include <immintrin.h>
 
-#include "nn/host_kernels_impl.hpp"
+#include <cstring>
+
+#include "nn/host_kernels_simd.hpp"
 
 namespace decimate {
 namespace hostk {
@@ -43,6 +54,110 @@ inline int32_t combine(__m512i acc, __m512i corr) {
   const auto a = static_cast<uint32_t>(_mm512_reduce_add_epi32(acc));
   const auto s = static_cast<uint32_t>(_mm512_reduce_add_epi32(corr));
   return static_cast<int32_t>(a - 128u * s);
+}
+
+/// XOR mask that biases an int8 block into vpdpbusd's u8 operand.
+constexpr uint8_t kU8Bias = 0x80;
+
+/// The block rows buf[c[0..3]] (16 lanes each) as vpdpbusd's u8 operand:
+/// one row per 128-bit lane, then a 4x4 dword transpose (vpermd) and a
+/// 4x4 byte transpose inside each 128-bit lane (vpshufb), so that dword p
+/// holds lane p's four bytes in non-zero order. Both transposes take the
+/// index sequence 0, 4, 8, 12, 1, 5, ..., held in `perm` and `shuf`.
+inline __m512i gather4(const int8_t* buf, const uint16_t* c, __m512i perm,
+                       __m512i shuf) {
+  const auto row = [buf](uint16_t j) {
+    return _mm_load_si128(
+        reinterpret_cast<const __m128i*>(buf + static_cast<size_t>(j) * 16));
+  };
+  __m512i x = _mm512_castsi128_si512(row(c[0]));
+  x = _mm512_inserti32x4(x, row(c[1]), 1);
+  x = _mm512_inserti32x4(x, row(c[2]), 2);
+  x = _mm512_inserti32x4(x, row(c[3]), 3);
+  return _mm512_shuffle_epi8(_mm512_permutexvar_epi32(perm, x), shuf);
+}
+
+/// The four int8 weights v[0..3], broadcast as one 32-bit word.
+inline __m512i weights4(const int8_t* v) {
+  int32_t w = 0;
+  std::memcpy(&w, v, sizeof(w));
+  return _mm512_set1_epi32(w);
+}
+
+/// Requant::apply on 16 lanes: the wrapping multiply (vpmulld keeps the
+/// low 32 bits), the arithmetic shift, and the int8 clip (vpmovsdb
+/// saturates to exactly [-128, 127]).
+inline __m128i requant16(__m512i acc, __m512i mult, __m128i shift) {
+  return _mm512_cvtsepi32_epi8(
+      _mm512_sra_epi32(_mm512_mullo_epi32(acc, mult), shift));
+}
+
+/// The N:M row loop both VNNI sparse instances share: for each output
+/// channel k in [k_s, k_e), one vpdpbusd per four non-zeros of row k
+/// against the u8-biased column block buf[col][16]. A row whose non-zero
+/// count is not a multiple of four pads its last group with zero weights
+/// on a column of the same row, so no load reads past the row's col/val.
+/// Sixteen rows at a time are requantized, transposed to pixel-major and
+/// stored as one masked 16-byte row per valid lane p < n at
+/// out[p * kk + k].
+inline void nm_rows16_vnni(const HostKernelDispatch& d, const int8_t* buf,
+                           const Tensor32& bias, const Requant& rq, int k_s,
+                           int k_e, int n, int8_t* out, int64_t kk) {
+  const int32_t* row_start = d.row_start.data();
+  const int32_t* row_sum = d.row_sum.data();
+  const uint16_t* col = d.col.data();
+  const int8_t* val = d.val.data();
+  const __m512i perm = _mm512_set_epi32(15, 11, 7, 3, 14, 10, 6, 2, 13, 9,
+                                        5, 1, 12, 8, 4, 0);
+  // the same sequence as bytes, repeated in every 128-bit lane
+  const __m512i shuf =
+      _mm512_set4_epi32(0x0f0b0703, 0x0e0a0602, 0x0d090501, 0x0c080400);
+  const __m512i mult = _mm512_set1_epi32(rq.mult);
+  const __m128i shift = _mm_cvtsi32_si128(rq.shift);
+  const auto row = [&](int k) {
+    // sum((x + 128) * w) - 128 * sum(w) = sum(x * w), mod 2^32
+    __m512i acc0 = _mm512_set1_epi32(static_cast<int32_t>(
+        static_cast<uint32_t>(bias[k]) -
+        128u * static_cast<uint32_t>(row_sum[k])));
+    __m512i acc1 = _mm512_setzero_si512();  // second chain: hides latency
+    const int e_end = row_start[k + 1];
+    int e = row_start[k];
+    for (; e + 8 <= e_end; e += 8) {
+      acc0 = _mm512_dpbusd_epi32(acc0, gather4(buf, col + e, perm, shuf),
+                                 weights4(val + e));
+      acc1 = _mm512_dpbusd_epi32(acc1, gather4(buf, col + e + 4, perm, shuf),
+                                 weights4(val + e + 4));
+    }
+    if (e + 4 <= e_end) {
+      acc0 = _mm512_dpbusd_epi32(acc0, gather4(buf, col + e, perm, shuf),
+                                 weights4(val + e));
+      e += 4;
+    }
+    if (e < e_end) {
+      uint16_t c4[4] = {};
+      int8_t v4[4] = {};
+      for (int j = 0; j < 4; ++j) {
+        const bool live = e + j < e_end;
+        c4[j] = col[live ? e + j : e];
+        if (live) v4[j] = val[e + j];
+      }
+      acc1 = _mm512_dpbusd_epi32(acc1, gather4(buf, c4, perm, shuf),
+                                 weights4(v4));
+    }
+    return requant16(_mm512_add_epi32(acc0, acc1), mult, shift);
+  };
+  for (int k0 = k_s; k0 < k_e; k0 += 16) {
+    const int rows = std::min(16, k_e - k0);
+    __m128i r[16];
+    for (int j = 0; j < 16; ++j) {
+      r[j] = j < rows ? row(k0 + j) : _mm_setzero_si128();
+    }
+    transpose16x16(r);
+    const auto mask = static_cast<__mmask16>((1u << rows) - 1);
+    for (int p = 0; p < n; ++p) {
+      _mm_mask_storeu_epi8(out + p * kk + k0, mask, r[p]);
+    }
+  }
 }
 
 }  // namespace
@@ -222,6 +337,30 @@ void fc_dense_vnni(const HostKernelDispatch&, const Tensor8& input,
       orow[ki] = rq.apply(s);
     }
   }
+}
+
+void conv_nm_vnni(const HostKernelDispatch& d, const Tensor8& input,
+                  const Tensor8&, const Tensor32& bias, const ConvGeom& g,
+                  const Requant& rq, int oy_s, int oy_e, int k_s, int k_e,
+                  Tensor8& out) {
+  if (k_s >= k_e) return;
+  pixel_blocks16(input, g, oy_s * g.ox(), oy_e * g.ox(), kU8Bias, out,
+                 [&](const int8_t* buf, int n, int8_t* oblk) {
+                   nm_rows16_vnni(d, buf, bias, rq, k_s, k_e, n, oblk, g.k);
+                 });
+}
+
+void fc_nm_vnni(const HostKernelDispatch& d, const Tensor8& input,
+                const Tensor8&, const Tensor32& bias, const Requant& rq,
+                int t_s, int t_e, int k_s, int k_e, Tensor8& out) {
+  if (k_s >= k_e) return;
+  // the tokens are the pixels of a 1x1 conv over a 1 x T image, so their
+  // [C][16] block is im2col's
+  const ConvGeom g{input.dim(0), 1, input.dim(1), out.dim(1)};
+  pixel_blocks16(input, g, t_s, t_e, kU8Bias, out,
+                 [&](const int8_t* buf, int n, int8_t* oblk) {
+                   nm_rows16_vnni(d, buf, bias, rq, k_s, k_e, n, oblk, g.k);
+                 });
 }
 
 }  // namespace hostk

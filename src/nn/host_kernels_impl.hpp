@@ -506,10 +506,18 @@ void conv_dense_vnni(const HostKernelDispatch& d, const Tensor8& input,
                      const Tensor8& weights, const Tensor32& bias,
                      const ConvGeom& g, const Requant& rq, int oy_s, int oy_e,
                      int k_s, int k_e, Tensor8& out);
+void conv_nm_vnni(const HostKernelDispatch& d, const Tensor8& input,
+                  const Tensor8& weights, const Tensor32& bias,
+                  const ConvGeom& g, const Requant& rq, int oy_s, int oy_e,
+                  int k_s, int k_e, Tensor8& out);
 void fc_dense_vnni(const HostKernelDispatch& d, const Tensor8& input,
                    const Tensor8& weights, const Tensor32& bias,
                    const Requant& rq, int t_s, int t_e, int k_s, int k_e,
                    Tensor8& out);
+void fc_nm_vnni(const HostKernelDispatch& d, const Tensor8& input,
+                const Tensor8& weights, const Tensor32& bias,
+                const Requant& rq, int t_s, int t_e, int k_s, int k_e,
+                Tensor8& out);
 #endif
 
 }  // namespace hostk

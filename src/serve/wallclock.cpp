@@ -113,8 +113,8 @@ void WallClockServer::warm(int model) {
   }
   const double measured = static_cast<double>(best_ns) /
                           static_cast<double>(modeled_cycles_for(model, 1));
-  ns_per_cycle_ =
-      ns_per_cycle_ == 0.0 ? measured : 0.5 * ns_per_cycle_ + 0.5 * measured;
+  double& npc = ns_per_cycle_[model];
+  npc = npc == 0.0 ? measured : 0.5 * npc + 0.5 * measured;
   input_shapes_[model] = input.shape();
 }
 
@@ -126,10 +126,11 @@ uint64_t WallClockServer::modeled_cycles_for(int model, int batch) const {
 
 uint64_t WallClockServer::predicted_exec_ns_locked(int model,
                                                    int batch) const {
-  DECIMATE_CHECK(ns_per_cycle_ > 0.0,
+  const auto npc = ns_per_cycle_.find(model);
+  DECIMATE_CHECK(npc != ns_per_cycle_.end() && npc->second > 0.0,
                  "model " << model << " was not warm()ed (no calibration)");
   return static_cast<uint64_t>(
-      static_cast<double>(modeled_cycles_for(model, batch)) * ns_per_cycle_);
+      static_cast<double>(modeled_cycles_for(model, batch)) * npc->second);
 }
 
 uint64_t WallClockServer::predicted_exec_ns(int model, int batch) const {
@@ -151,9 +152,10 @@ int WallClockServer::brownout_level() const {
   return brownout_level_;
 }
 
-double WallClockServer::ns_per_cycle() const {
+double WallClockServer::ns_per_cycle(int model) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return ns_per_cycle_;
+  const auto npc = ns_per_cycle_.find(model);
+  return npc == ns_per_cycle_.end() ? 0.0 : npc->second;
 }
 
 void WallClockServer::record_terminal(const QueuedRequest& qr,
@@ -347,7 +349,7 @@ void WallClockServer::run_batch_with_recovery(
     }
     const uint64_t now = now_ns();
     const uint64_t budget_ns = min_deadline > now ? min_deadline - now : 0;
-    slo.deadline_cycles = ns_to_cycles(budget_ns, ns_per_cycle_);
+    slo.deadline_cycles = ns_to_cycles(budget_ns, ns_per_cycle_.at(model));
     slo.max_batch = n;
     inflight_pred_ns_ += pred;
   }
@@ -500,7 +502,8 @@ void WallClockServer::record_success(const std::vector<QueuedRequest>& batch,
     // calibration feedback: what a modeled cycle cost on the wall just now
     const double measured =
         static_cast<double>(wall_exec) / static_cast<double>(cycles);
-    ns_per_cycle_ = 0.7 * ns_per_cycle_ + 0.3 * measured;
+    double& npc = ns_per_cycle_.at(model);
+    npc = 0.7 * npc + 0.3 * measured;
   }
   DECIMATE_CHECK(job.result.served.size() == batch.size(),
                  "dispatch result does not cover the batch");

@@ -28,9 +28,10 @@
 //   host kernels (a lone request as one image split over the engine's
 //   pool); the modeled placement it reports is chosen by modeled cycles
 //   under the request's remaining wall budget, translated via the
-//   calibrated ns/cycle. warm() seeds the calibration by timing that
-//   same one-image call, and every batch then adds its wall time divided
-//   by the modeled cycles of its fused chunks. All modeled cycles come
+//   model's calibrated ns/cycle. warm(model) seeds that model's
+//   calibration by timing that same one-image call, and every batch then
+//   adds its wall time divided by the modeled cycles of its fused chunks
+//   to the calibration of the model it ran. All modeled cycles come
 //   from the Dispatcher's warm-time cost table, so warm() every model
 //   before serve() — a warm() after serve() has started throws.
 //
@@ -166,11 +167,11 @@ class WallClockServer {
   /// Compile every plan serving can request for `model` and fill the
   /// Dispatcher's cost table, then time one calibration inference — a
   /// one-image run_batch on the executor's engine, the call the executor
-  /// makes — to seed the ns/cycle EWMA (starting the engine's worker pool
-  /// if the image splits), and record the model's input shape. Must run
-  /// before serve(): once serve() has started, warm() throws an Error
-  /// (the check and serve()'s start are under one mutex, so the two never
-  /// interleave).
+  /// makes — to seed the model's ns/cycle EWMA (starting the engine's
+  /// worker pool if the image splits), and record the model's input
+  /// shape. Must run before serve(): once serve() has started, warm()
+  /// throws an Error (the check and serve()'s start are under one mutex,
+  /// so the two never interleave).
   void warm(int model);
 
   /// Thread-safe. Stamps arrival, decides admission, enqueues or records
@@ -200,7 +201,10 @@ class WallClockServer {
   /// Current brown-out level (0-3), for tests/benches.
   int brownout_level() const;
 
-  double ns_per_cycle() const;
+  /// The model's calibrated wall ns per modeled cycle (0 before its
+  /// warm()). Each model keeps its own: a batch updates only the model
+  /// that ran.
+  double ns_per_cycle(int model) const;
 
  private:
   struct Job {
@@ -252,7 +256,8 @@ class WallClockServer {
   bool serving_ = false;  // serve() has started: warm() is refused
   EdfQueue queue_;
   std::vector<WallServed> done_;
-  double ns_per_cycle_ = 0.0;  // EWMA, seeded by warm()'s timed run
+  // per model: EWMA, seeded by warm()'s timed run
+  std::map<int, double> ns_per_cycle_;
   uint64_t inflight_pred_ns_ = 0;
   int brownout_level_ = 0;
   std::map<int, int> consecutive_failures_;

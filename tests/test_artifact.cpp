@@ -98,6 +98,7 @@ void expect_same_host_bindings(const CompiledPlan& loaded,
     EXPECT_TRUE(same_array(got.row_start, want.row_start)) << "step " << i;
     EXPECT_TRUE(same_array(got.col, want.col)) << "step " << i;
     EXPECT_TRUE(same_array(got.val, want.val)) << "step " << i;
+    EXPECT_TRUE(same_array(got.row_sum, want.row_sum)) << "step " << i;
   }
 }
 

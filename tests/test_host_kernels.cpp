@@ -2,18 +2,24 @@
 // dense kernels must be bit-identical to the scalar reference ops — full
 // range and arbitrary ranged slices (which must stitch exactly) — across
 // M in {4, 8, 16}, every NmPacked layout, stride/pad edge cases and
-// ResNet18's served conv shapes; and
-// the served models select no scalar instance on an AVX2 host. Plus the
-// WorkerPool the engines run them on.
+// ResNet18's served conv shapes; every sparse instance must be exact at
+// the edges of its row loop (0-9 non-zeros per row, partial blocks, the
+// int8 and int32 limits, every requant shift); the served models select
+// no scalar instance on an AVX2 host, and their sparse steps the widest
+// ISA's instance. Plus the WorkerPool the engines run them on.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
+#include <cstdlib>
 #include <numeric>
+#include <string>
 
 #include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "exec/compile.hpp"
+#include "exec/node_exec.hpp"
 #include "exec/worker_pool.hpp"
 #include "models/models.hpp"
 #include "nn/host_kernel_instances.hpp"
@@ -398,6 +404,209 @@ TEST(HostKernels, EveryFcInstanceBitExactOnOddGeometries) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The sparse row loop at its edges. The VNNI instances take a row's
+// non-zeros four at a time and requantize sixteen rows at once; these
+// cases put every residue of that grouping (0-9 non-zeros per row, all-zero
+// rows, stored zeros build_gather drops), every partial block (1-16 lanes,
+// ranges that start mid-block) and the int8 / int32 limits through every
+// sparse instance this host runs.
+// ---------------------------------------------------------------------------
+
+/// Force each instance of d's family this host can run, and call
+/// fn(instance name) with it selected.
+template <typename Fn>
+void for_each_runnable_instance(HostKernelDispatch& d, Fn&& fn) {
+  for (int id = 0; id < host_instance_count(); ++id) {
+    const HostInstanceInfo& info = host_instance_info(id);
+    if (info.family != d.impl || info.isa > host_isa_detected()) continue;
+    host_force_instance(d, id);
+    fn(info.name);
+  }
+}
+
+/// 1:m weights whose row r has r % 10 non-zeros (all-zero rows included),
+/// each in its own m-block and cycling through -128, 127 and a random
+/// non-zero value; every other block stores a zero.
+Tensor8 graded_sparse_weights(int rows, int cols, int m, Rng& rng) {
+  Tensor8 w({rows, cols}, 0);
+  const int blocks = cols / m;
+  for (int r = 0; r < rows; ++r) {
+    const int nz = r % 10;
+    for (int j = 0; j < nz; ++j) {
+      const int col = (j * blocks / nz) * m + rng.uniform_int(0, m - 1);
+      const int v = j % 3 == 0   ? -128
+                    : j % 3 == 1 ? 127
+                                 : rng.uniform_int(1, 126) *
+                                       (rng.uniform_int(0, 1) ? 1 : -1);
+      w.flat()[static_cast<size_t>(r) * cols + col] = static_cast<int8_t>(v);
+    }
+  }
+  return w;
+}
+
+/// Random int8 values, a third of them -128 and a third 127.
+Tensor8 extreme_tensor(std::vector<int> shape, Rng& rng) {
+  Tensor8 t = Tensor8::random(std::move(shape), rng);
+  for (int8_t& v : t.flat()) {
+    const int pick = rng.uniform_int(0, 2);
+    if (pick == 0) v = -128;
+    if (pick == 1) v = 127;
+  }
+  return t;
+}
+
+TEST(HostKernels, SparseFcRowGroupsBitExactOnEveryInstance) {
+  Rng rng(301);
+  // 12 blocks hold up to 9 non-zeros; 37 rows are two groups of 16 and 5
+  const int k = 37, c = 48, m = 4;
+  const Tensor8 w = graded_sparse_weights(k, c, m, rng);
+  const NmPacked packed = nm_pack(w.flat(), k, c, m, NmLayout::kSw);
+  HostKernelDispatch d = host_dispatch_for_fc(k, c, &packed, 16);
+  ASSERT_LT(d.nz_total(), static_cast<int64_t>(k) * (c / m));  // zeros dropped
+  const Tensor32 bias = random_bias(k, rng);
+  const Requant rq = test_requant();
+
+  // one block of every width
+  for (int tokens = 1; tokens <= 16; ++tokens) {
+    const Tensor8 input = extreme_tensor({tokens, c}, rng);
+    const Tensor8 ref = fc_s8(input, w, bias, rq);
+    for_each_runnable_instance(d, [&](const char* name) {
+      ASSERT_TRUE(host_fc_s8(d, input, w, bias, rq) == ref)
+          << "tokens=" << tokens << " instance=" << name;
+    });
+  }
+
+  // ranged calls that start mid-block and end in partial blocks, later
+  // ranges first: a call that wrote past its own range would clobber them
+  const int tokens = 37;
+  const Tensor8 input = extreme_tensor({tokens, c}, rng);
+  const Tensor8 ref = fc_s8(input, w, bias, rq);
+  for_each_runnable_instance(d, [&](const char* name) {
+    Tensor8 out({tokens, k});
+    for (const auto& [t_s, t_e, k_s, k_e] :
+         std::vector<std::tuple<int, int, int, int>>{{21, 37, 3, k},
+                                                     {21, 37, 0, 3},
+                                                     {5, 21, 19, k},
+                                                     {5, 21, 0, 19},
+                                                     {0, 5, 0, k}}) {
+      host_fc_s8_into(d, input, w, bias, rq, t_s, t_e, k_s, k_e, out);
+    }
+    ASSERT_TRUE(out == ref) << "ranged, instance=" << name;
+  });
+}
+
+TEST(HostKernels, SparseConvRowGroupsBitExactOnEveryInstance) {
+  Rng rng(302);
+  // fsz 144 at 1:16 holds up to 9 non-zeros; a 5x4 output is one block of
+  // 16 pixels and one of 4
+  const ConvGeom g{5, 4, 16, 37, 3, 3, 1, 1};
+  const Tensor8 w = graded_sparse_weights(g.k, g.fsz(), 16, rng);
+  HostKernelDispatch d = conv_dispatch(g, w, 16);
+  const Tensor8 input = extreme_tensor({g.iy, g.ix, g.c}, rng);
+  const Tensor32 bias = random_bias(g.k, rng);
+  const Requant rq = test_requant();
+  const Tensor8 ref = conv2d_s8(input, w, bias, g, rq);
+  for_each_runnable_instance(d, [&](const char* name) {
+    ASSERT_TRUE(host_conv2d_s8(d, input, w, bias, g, rq) == ref)
+        << "instance=" << name;
+    // row ranges that start at pixels 5 and 15, mid-block, later ranges
+    // first
+    Tensor8 out({g.oy(), g.ox(), g.k});
+    for (const auto& [oy_s, oy_e, k_s, k_e] :
+         std::vector<std::tuple<int, int, int, int>>{
+             {3, 4, 0, g.k}, {1, 3, 17, g.k}, {1, 3, 0, 17}, {0, 1, 0, g.k}}) {
+      host_conv2d_s8_into(d, input, w, bias, g, rq, oy_s, oy_e, k_s, k_e,
+                          out);
+    }
+    ASSERT_TRUE(out == ref) << "ranged, instance=" << name;
+  });
+}
+
+TEST(HostKernels, SparseBiasCorrectionWrapsAtInt32Limits) {
+  // A bias near INT32_MIN with positive weights, and one near INT32_MAX
+  // with negative weights, over non-negative inputs (127 included): the
+  // exact accumulator never leaves int32 (so the reference cannot
+  // overflow), while a VNNI row's start value bias - 128 * sum(w) wraps
+  // past the limit and its vpdpbusd sums wrap back.
+  Rng rng(303);
+  const int k = 21, c = 48, m = 4, tokens = 19;
+  const ConvGeom g{5, 4, 16, k, 3, 3, 1, 1};
+  const Requant rq = test_requant();
+  for (const int sign : {1, -1}) {
+    Tensor8 wf = graded_sparse_weights(k, c, m, rng);
+    Tensor8 wc = graded_sparse_weights(k, g.fsz(), 16, rng);
+    for (Tensor8* w : {&wf, &wc}) {
+      for (int8_t& v : w->flat()) {
+        if (v == 0) continue;
+        const int mag = std::abs(static_cast<int>(v));
+        v = static_cast<int8_t>(sign > 0 ? std::min(mag, 127) : -mag);
+      }
+    }
+    Tensor32 bias({k});
+    for (int i = 0; i < k; ++i) {
+      bias[i] = sign > 0 ? INT32_MIN + rng.uniform_int(0, 1000)
+                         : INT32_MAX - rng.uniform_int(0, 1000);
+    }
+    Tensor8 in_fc = extreme_tensor({tokens, c}, rng);
+    Tensor8 in_conv = extreme_tensor({g.iy, g.ix, g.c}, rng);
+    for (Tensor8* in : {&in_fc, &in_conv}) {
+      for (int8_t& v : in->flat()) {
+        v = static_cast<int8_t>(std::min(std::abs(static_cast<int>(v)), 127));
+      }
+    }
+
+    const NmPacked packed = nm_pack(wf.flat(), k, c, m, NmLayout::kSw);
+    HostKernelDispatch df = host_dispatch_for_fc(k, c, &packed, tokens);
+    const Tensor8 ref_fc = fc_s8(in_fc, wf, bias, rq);
+    for_each_runnable_instance(df, [&](const char* name) {
+      ASSERT_TRUE(host_fc_s8(df, in_fc, wf, bias, rq) == ref_fc)
+          << "fc sign=" << sign << " instance=" << name;
+    });
+
+    HostKernelDispatch dc = conv_dispatch(g, wc, 16);
+    const Tensor8 ref_conv = conv2d_s8(in_conv, wc, bias, g, rq);
+    for_each_runnable_instance(dc, [&](const char* name) {
+      ASSERT_TRUE(host_conv2d_s8(dc, in_conv, wc, bias, g, rq) == ref_conv)
+          << "conv sign=" << sign << " instance=" << name;
+    });
+  }
+}
+
+TEST(HostKernels, SparseRequantMatchesScalarAtEveryShift) {
+  // Rows with no non-zeros leave the accumulator at exactly the bias, so
+  // these biases reach the requant unchanged: the int32 limits and their
+  // neighbours, under every shift and extreme or negative multipliers.
+  const std::vector<int32_t> accs = {
+      INT32_MIN, INT32_MIN + 1, -(1 << 30), -65537, -32768, -129, -128,
+      -1,        0,             1,          127,    128,    32767,  65536,
+      1 << 30,   INT32_MAX - 1, INT32_MAX};  // 17 rows: 16 and a remainder
+  const int k = static_cast<int>(accs.size()), c = 32, tokens = 9;
+  const Tensor8 w({k, c}, 0);
+  const NmPacked packed = nm_pack(w.flat(), k, c, 4, NmLayout::kSw);
+  HostKernelDispatch d = host_dispatch_for_fc(k, c, &packed, tokens);
+  Tensor32 bias({k});
+  for (int i = 0; i < k; ++i) bias[i] = accs[static_cast<size_t>(i)];
+  Rng rng(304);
+  const Tensor8 input = Tensor8::random({tokens, c}, rng);
+  for (const int32_t mult : {1, -1, 13, -13, 0x10001, -0x12345, INT32_MAX,
+                             INT32_MIN}) {
+    for (int32_t shift = 0; shift < 32; ++shift) {
+      const Requant rq{mult, shift};
+      Tensor8 want({tokens, k});
+      for (int t = 0; t < tokens; ++t) {
+        for (int i = 0; i < k; ++i) {
+          want.at({t, i}) = rq.apply(accs[static_cast<size_t>(i)]);
+        }
+      }
+      for_each_runnable_instance(d, [&](const char* name) {
+        ASSERT_TRUE(host_fc_s8(d, input, w, bias, rq) == want)
+            << "mult=" << mult << " shift=" << shift << " instance=" << name;
+      });
+    }
+  }
+}
+
 TEST(HostKernels, ScalarIsaCapForcesScalarSelectionBitExactly) {
   // clamp selection to the scalar tier: newly built dispatches must pick
   // the scalar instances and still match the reference — this is the
@@ -421,6 +630,43 @@ TEST(HostKernels, ScalarIsaCapForcesScalarSelectionBitExactly) {
   }
 }
 
+struct ServedModel {
+  std::string name;
+  Graph graph;
+  CompiledPlan plan;
+};
+
+/// Full ResNet18 (dense and 1:4/1:8/1:16) and the ViT FFN block (dense
+/// and 1:8), compiled once per test binary at the host's full ISA.
+const std::vector<ServedModel>& served_models() {
+  static const std::vector<ServedModel> models = [] {
+    const auto cache = std::make_shared<TileLatencyCache>();
+    std::vector<ServedModel> out;
+    const auto add = [&](std::string name, Graph graph) {
+      CompiledPlan plan = Compiler(CompileOptions{}, cache).compile(graph);
+      out.push_back({std::move(name), std::move(graph), std::move(plan)});
+    };
+    for (const int m : {0, 4, 8, 16}) {
+      Resnet18Options opt;
+      opt.sparsity_m = m;
+      add("resnet18 m=" + std::to_string(m), build_resnet18(opt));
+    }
+    for (const int m : {0, 8}) {
+      add("ffn m=" + std::to_string(m),
+          build_ffn_block(196, 384, 1536, m, 11));
+    }
+    return out;
+  }();
+  return models;
+}
+
+bool instance_registered(const std::string& name) {
+  for (int id = 0; id < host_instance_count(); ++id) {
+    if (name == host_instance_info(id).name) return true;
+  }
+  return false;
+}
+
 // The served models never fall back to a scalar kernel on a host with
 // AVX2: every conv and FC step of full ResNet18 (dense and 1:4/1:8/1:16)
 // and of the ViT FFN block (dense and 1:8) selects a SIMD instance.
@@ -432,28 +678,68 @@ TEST(HostKernels, ServedModelsSelectNoScalarInstanceOnAvx2) {
   if (!avx2_built || host_isa_detected() < HostIsa::kAvx2) {
     GTEST_SKIP() << "no AVX2 instances in this build or on this host";
   }
-  const auto cache = std::make_shared<TileLatencyCache>();
-  std::vector<std::pair<std::string, Graph>> models;
-  for (const int m : {0, 4, 8, 16}) {
-    Resnet18Options opt;
-    opt.sparsity_m = m;
-    models.emplace_back("resnet18 m=" + std::to_string(m),
-                        build_resnet18(opt));
-  }
-  for (const int m : {0, 8}) {
-    models.emplace_back("ffn m=" + std::to_string(m),
-                        build_ffn_block(196, 384, 1536, m, 11));
-  }
-  for (const auto& [name, graph] : models) {
-    const CompiledPlan plan = Compiler(CompileOptions{}, cache).compile(graph);
-    for (const PlanStep& step : plan.steps) {
-      const OpType op = graph.node(step.node_id).op;
+  for (const ServedModel& sm : served_models()) {
+    for (const PlanStep& step : sm.plan.steps) {
+      const OpType op = sm.graph.node(step.node_id).op;
       if (op != OpType::kConv2d && op != OpType::kFc) continue;
       const std::string instance = host_instance_name(step.host);
       EXPECT_EQ(instance.find("scalar"), std::string::npos)
-          << name << " " << graph.node(step.node_id).name << " selects "
-          << instance;
+          << sm.name << " " << sm.graph.node(step.node_id).name
+          << " selects " << instance;
     }
+  }
+}
+
+// On a VNNI host every sparse step of the served sparse models selects the
+// VNNI instance of its family; capped at AVX2, the AVX2 one. The bindings
+// are rebuilt under each cap with host_dispatch_for, the function the
+// compiler and the `.plan` loader bind steps with.
+TEST(HostKernels, ServedSparseStepsSelectTheWidestIsaInstance) {
+  if (!instance_registered("conv-nm-im2col16-vnni") ||
+      !instance_registered("conv-nm-im2col16-avx2") ||
+      host_isa_detected() < HostIsa::kAvx512Vnni) {
+    GTEST_SKIP() << "no AVX-512 VNNI sparse instances in this build or on "
+                    "this host";
+  }
+  for (const HostIsa cap : {HostIsa::kAvx512Vnni, HostIsa::kAvx2}) {
+    const char* suffix = cap == HostIsa::kAvx2 ? "-avx2" : "-vnni";
+    for (const ServedModel& sm : served_models()) {
+      if (sm.name.find("m=0") != std::string::npos) continue;
+      const IsaCapGuard guard(cap);
+      int sparse_steps = 0;
+      for (const PlanStep& step : sm.plan.steps) {
+        if (!step.host.sparse()) continue;
+        ++sparse_steps;
+        const HostKernelDispatch d =
+            host_dispatch_for(sm.graph.node(step.node_id), step);
+        const std::string want =
+            std::string(d.impl == HostImpl::kSparseConv ? "conv-nm-im2col16"
+                                                        : "fc-nm-tok16") +
+            suffix;
+        EXPECT_EQ(host_instance_name(d), want)
+            << sm.name << " " << sm.graph.node(step.node_id).name
+            << " under the " << host_isa_name(cap) << " cap";
+      }
+      EXPECT_GT(sparse_steps, 0) << sm.name;
+    }
+  }
+}
+
+// The per-instance sweeps above pass over every instance above this
+// host's ISA without a word. This test names them, so a test log shows
+// which registered instances were not exercised here.
+TEST(HostKernels, NamesTheInstancesThisHostCannotRun) {
+  std::string skipped;
+  for (int id = 0; id < host_instance_count(); ++id) {
+    const HostInstanceInfo& info = host_instance_info(id);
+    if (info.isa > host_isa_detected()) {
+      skipped += ' ';
+      skipped += info.name;
+    }
+  }
+  if (!skipped.empty()) {
+    GTEST_SKIP() << "host ISA " << host_isa_name(host_isa_detected())
+                 << " cannot run, so no test exercised:" << skipped;
   }
 }
 

@@ -5,7 +5,8 @@
 // refused once serve() runs (on a model whose one-image batches split
 // over the executor's pool), one worker pool started at warm() and
 // served on, prediction error against the pre-dispatch
-// prediction, reject-at-admission, a malformed request (wrong input
+// prediction, a per-model calibration that serving another model leaves
+// untouched, reject-at-admission, a malformed request (wrong input
 // shape, unknown model) rejected on its own, a deadline too long for
 // the clock, shed-under-burst, and every rung of the fault-tolerance
 // ladder under seeded injection: retry-then-succeed,
@@ -289,7 +290,7 @@ TEST(WallClock, ServesConcurrentSubmittersBitExact) {
   cfg.max_batch = 4;
   WallClockServer server(store, DispatchConfig{1, {1, 2, 4}}, cfg);
   server.warm(m);
-  EXPECT_GT(server.ns_per_cycle(), 0.0);
+  EXPECT_GT(server.ns_per_cycle(m), 0.0);
   EXPECT_GT(server.sustained_img_per_s(m), 0.0);
 
   constexpr int kThreads = 4;
@@ -478,6 +479,43 @@ TEST(WallClock, PredictionErrorUsesThePreDispatchPrediction) {
            "not one recomputed after the calibration absorbed the batch";
   }
   EXPECT_EQ(errors.count(), errors_before + 1);  // one per batch
+}
+
+TEST(WallClock, ServingOneModelLeavesAnotherModelsCalibration) {
+  // each model keeps its own ns/cycle: a batch's wall time feeds only the
+  // model that ran, so serving model A never moves model B's predictions
+  PlanStore store(isa_options(), shared_test_cache());
+  const Graph ga = small_ffn();
+  const Graph gb = build_ffn_block(32, 64, 128, 0, 13);  // dense sibling
+  const int a = store.add_model(ga);
+  const int b = store.add_model(gb);
+
+  WallClockConfig cfg;
+  cfg.max_batch = 2;
+  cfg.watchdog_floor_ns = 30'000'000'000;  // a slow host must not redispatch
+  WallClockServer server(store, DispatchConfig{1, {1, 2}}, cfg);
+  EXPECT_EQ(server.ns_per_cycle(a), 0.0);  // not warm()ed yet
+  server.warm(a);
+  server.warm(b);
+  ASSERT_GT(server.ns_per_cycle(a), 0.0);
+  const double b_ns_per_cycle = server.ns_per_cycle(b);
+  const uint64_t b_pred = server.predicted_exec_ns(b, 1);
+  ASSERT_GT(b_ns_per_cycle, 0.0);
+
+  Rng rng(41);
+  for (uint64_t id = 0; id < 4; ++id) {
+    server.submit(request(id, a, Tensor8::random(input_shape(ga), rng)));
+  }
+  server.close();
+  const auto done = server.serve();
+
+  ASSERT_EQ(done.size(), 4u);
+  for (const WallServed& w : done) {
+    ASSERT_EQ(w.outcome, ServeOutcome::kOk) << w.detail;
+  }
+  EXPECT_EQ(server.ns_per_cycle(b), b_ns_per_cycle);
+  EXPECT_EQ(server.predicted_exec_ns(b, 1), b_pred);
+  EXPECT_GT(server.ns_per_cycle(a), 0.0);
 }
 
 TEST(WallClock, RejectsAtAdmissionWhenDeadlineIsInfeasible) {
